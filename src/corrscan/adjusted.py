@@ -12,8 +12,8 @@ import numpy as np
 
 from .matern import MaternParams, CovFactor, build_cov, cholesky, simulate_grf
 from .mcmc import McmcConfig, ModelIIFit, PriorSpec, fit_model2, posterior_means
-from .region import StudyRegion, WindowSet
-from .scan import llr_star_batch, mc_pvalue, scan
+from .region import InputError, StudyRegion, WindowSet
+from .scan import llr_star_batch, mc_pvalue, rank_pvalue, scan
 
 __all__ = [
     "AdjustedScanConfig",
@@ -82,7 +82,7 @@ class AdjustedScanConfig:
 
     def __post_init__(self):
         if self.M < 99:
-            raise ValueError("M must be >= 99 for the adjusted procedure")
+            raise InputError(f"M must be >= 99 for the adjusted procedure, got {self.M}")
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,6 @@ def _clusters_of(result):
     out = [(result.primary, result.primary_llr)]
     out.extend((c, llr) for c, llr, _, _ in result.secondaries)
     return out
-
-
-def _rank_pvalue(llr, reference):
-    m = len(reference)
-    return (1 + int(np.count_nonzero(reference >= llr))) / (m + 1)
 
 
 def _reference_sample(sr, windows, fit, y_g, period, rng, M, posterior_predictive, nu, dm):
@@ -178,7 +173,7 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
         counts0 = model1_simulator(sr, period)(rng, config.M)
         ref0 = llr_star_batch(counts0, n, windows)
         significant = {
-            c.members for c, llr in clusters if _rank_pvalue(llr, ref0) <= config.alpha_screen
+            c.members for c, llr in clusters if rank_pvalue(llr, ref0) <= config.alpha_screen
         }
 
     iterations = []
@@ -199,7 +194,7 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
         reference, sim_info = _reference_sample(
             sr, windows, fit, y.sum(), period, rng, config.M,
             config.posterior_predictive, config.nu, np.asarray(dm))
-        adjusted = tuple((c, llr, _rank_pvalue(llr, reference)) for c, llr in clusters)
+        adjusted = tuple((c, llr, rank_pvalue(llr, reference)) for c, llr in clusters)
         new_significant = {c.members for c, llr, p in adjusted if p <= config.alpha_screen}
         beta_hat, sigma_hat, rho_hat, rho_grid = posterior_means(fit)
         iterations.append({
@@ -265,7 +260,7 @@ def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_peri
             counts = simulate_model2_counts(n, beta_sim, factor, rng, size=config.M,
                                             region_ids=sr.ids)
             reference = llr_star_batch(counts, n, windows)
-            adjusted_p = _rank_pvalue(observed.llr_star, reference)
+            adjusted_p = rank_pvalue(observed.llr_star, reference)
         else:
             adjusted_p = 1.0
         results.append({

@@ -23,7 +23,7 @@ from .fdr import fit_fdr_model, nudge_boundary_p, p_to_z
 from .matern import MaternParams, build_cov, cholesky
 from .mcmc import McmcConfig, PriorSpec, fit_model2
 from .region import StudyRegion, distance_matrix, enumerate_windows
-from .scan import llr_star_batch, model1_simulator, scan
+from .scan import llr_star_batch, model1_simulator, rank_pvalue, scan
 
 __all__ = [
     "ExperimentConfig",
@@ -190,7 +190,7 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
                 except (ValueError, RuntimeError):
                     dropped += 1
                     continue
-                pvals.append((1 + int(np.count_nonzero(ref >= obs))) / (cfg.mc_size + 1))
+                pvals.append(rank_pvalue(obs, ref))
             table.add_setting(sigma, rho, cfg.mode, pvals, cfg.alphas, dropped)
     return table
 
@@ -231,8 +231,7 @@ def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, cov,
     excluded = set()
     for c, llr in ([(res.primary, res.primary_llr)] if res.primary else []) + [
             (c, llr) for c, llr, _, _ in res.secondaries]:
-        p_c = (1 + int(np.count_nonzero(screen >= llr))) / (cfg.mc_size + 1)
-        if p_c <= 0.1:
+        if rank_pvalue(llr, screen) <= 0.1:
             excluded |= set(c.members)
     fit_idx = [i for i in range(len(n)) if i not in excluded]
     if len(fit_idx) < 5:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matern import MaternParams, cholesky, matern_cov
+from .region import InputError
 
 __all__ = [
     "PriorSpec",
@@ -39,7 +40,7 @@ class PriorSpec:
 
     def __post_init__(self):
         if int(self.rho_upper) < 2:
-            raise ValueError("rho_upper must be >= 2")
+            raise InputError(f"rho_upper must be >= 2, got {self.rho_upper}")
         object.__setattr__(self, "rho_upper", int(self.rho_upper))
 
     @property

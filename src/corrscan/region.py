@@ -97,6 +97,9 @@ class StudyRegion:
                 raise InputError("period required for multi-period data")
             return 0
         if isinstance(period, (int, np.integer)) and period not in self.periods:
+            if not 0 <= period < self.n_periods:
+                raise InputError(
+                    f"period position {period} out of range for {self.n_periods} period(s)")
             return int(period)
         try:
             return self.periods.index(period)
@@ -216,34 +219,82 @@ class CandidateCluster:
         return tuple(sr.ids[i] for i in self.members)
 
 
-class WindowSet:
-    """Deterministic list of candidate windows plus a membership matrix.
+# elements of one (width, m, rows) cumulative-sum block; sets the row chunk
+_ROW_BLOCK_ELEMENTS = 1 << 20
 
-    ``membership`` is an (n_windows, m) float array with 1.0 where a region
-    belongs to a window, so per-window aggregates are a single matmul.
+
+class WindowSet:
+    """Deterministic list of candidate windows, stored as prefixes.
+
+    Window ``k`` holds the first ``length[k]`` regions of row ``center[k]`` of
+    ``order``, each centre's regions sorted by (distance, id).  Per-window sums
+    are therefore cumulative sums along ``order`` gathered at
+    ``(center, length - 1)``: O(m^2) index memory and no (windows x m) matrix.
+    :class:`CandidateCluster` objects are built only when indexed or iterated.
     """
 
-    def __init__(self, windows, m):
-        self.windows = list(windows)
-        self.m = m
-        mat = np.zeros((len(self.windows), m))
-        for r, w in enumerate(self.windows):
-            mat[r, list(w.members)] = 1.0
-        mat.setflags(write=False)
-        self.membership = mat
+    def __init__(self, order, center, length, radius):
+        self.order = np.asarray(order, dtype=np.intp)
+        self.center = np.asarray(center, dtype=np.intp)
+        self.length = np.asarray(length, dtype=np.intp)
+        self.radius = np.asarray(radius, dtype=float)
+        self.m = self.order.shape[0]
+        for arr in (self.order, self.center, self.length, self.radius):
+            arr.setflags(write=False)
 
     def __len__(self):
-        return len(self.windows)
+        return len(self.center)
 
     def __iter__(self):
-        return iter(self.windows)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i):
-        return self.windows[i]
+        return CandidateCluster(center=int(self.center[i]), members=self.members(i),
+                                radius=float(self.radius[i]))
+
+    def members(self, i):
+        """Member indices of window ``i`` in (distance, id) order, as an array."""
+        return self.order[self.center[i], :self.length[i]]
+
+    def overlapping(self, regions):
+        """Boolean mask of the windows that contain any of ``regions``."""
+        inside = np.zeros(self.m, dtype=bool)
+        inside[regions] = True
+        hit = inside[self.order]
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), hit.shape[1])
+        return first[self.center] < self.length
+
+    @property
+    def chunk_rows(self):
+        """Rows per block, so that one (width, m, rows) cumulative-sum block
+        stays near ``_ROW_BLOCK_ELEMENTS`` elements."""
+        return max(1, _ROW_BLOCK_ELEMENTS // max(1, self.order.size))
+
+    def window_sums(self, values):
+        """Per-window sums of a (k, m) block, as a (windows, k) array.
+
+        Cumulative sums run along each center's order, one prefix position at
+        a time over a (width, m, k) block, and are gathered at each window's
+        (length - 1, center).  Integer input sums exactly.
+        """
+        block = np.ascontiguousarray(np.asarray(values).T)[self.order.T]
+        for j in range(1, len(block)):
+            block[j] += block[j - 1]
+        last = (self.length - 1) * self.m + self.center
+        return block.reshape(self.order.size, len(values))[last]
 
     def aggregate(self, values):
-        """Per-window sums of a length-m vector (or (k, m) batch)."""
-        return np.asarray(values) @ self.membership.T
+        """Per-window sums of a length-m vector (or (k, m) batch).
+
+        A batch is summed ``chunk_rows`` rows at a time, so no (k, m, m) or
+        (windows, m) array is allocated.
+        """
+        values = np.asarray(values)
+        if values.ndim == 1:
+            return self.window_sums(values[None, :])[:, 0]
+        step = self.chunk_rows
+        return np.concatenate([self.window_sums(values[s:s + step])
+                               for s in range(0, max(len(values), 1), step)], axis=1).T
 
 
 def enumerate_windows(sr: StudyRegion, dm: np.ndarray, max_fraction: float = 0.5) -> WindowSet:
@@ -252,29 +303,43 @@ def enumerate_windows(sr: StudyRegion, dm: np.ndarray, max_fraction: float = 0.5
     For each center, regions are sorted by (distance, id) and every prefix
     whose population stays within ``max_fraction`` of the study total is a
     candidate.  The population cap uses populations summed over periods, so
-    geometry is enumerated once.  Duplicate member sets are dropped.
+    geometry is enumerated once.  Duplicate member sets are dropped, keeping
+    the first in (center, prefix length) order.
     """
     if not 0 < max_fraction <= 1:
         raise ValueError("max_fraction must be in (0, 1]")
+    m = sr.m
     pop = sr.populations.sum(axis=0)
     cap = max_fraction * pop.sum()
-    seen = {}
-    for center in range(sr.m):
-        # center leads even under distance-zero ties (coincident centroids)
-        order = [center] + sorted(
-            (k for k in range(sr.m) if k != center),
-            key=lambda k: (dm[center, k], sr.ids[k]),
-        )
-        members = []
-        total = 0.0
-        for k in order:
-            members.append(k)
-            total += pop[k]
-            if total > cap:
-                break
-            key = tuple(sorted(members))
-            if key not in seen:
-                seen[key] = CandidateCluster(
-                    center=center, members=tuple(members), radius=float(dm[center, k])
-                )
-    return WindowSet(seen.values(), sr.m)
+    id_rank = np.empty(m, dtype=np.intp)
+    id_rank[sorted(range(m), key=sr.ids.__getitem__)] = np.arange(m)
+    dist = np.array(dm, dtype=float)
+    np.fill_diagonal(dist, -1.0)  # the center leads even under distance-zero ties
+    order = np.lexsort((np.broadcast_to(id_rank, (m, m)), dist), axis=-1)
+    # pop > 0, so running totals are nondecreasing and the valid prefixes of
+    # a row are exactly those up to its first total above the cap
+    n_prefix = np.count_nonzero(np.cumsum(pop[order], axis=1) <= cap, axis=1)
+    width = int(n_prefix.max(initial=0))
+    order = np.ascontiguousarray(order[:, :width])
+
+    center = np.repeat(np.arange(m), n_prefix)
+    start = np.cumsum(n_prefix) - n_prefix
+    length = np.arange(len(center)) - np.repeat(start, n_prefix) + 1
+    # exact de-duplication on membership bitsets packed into 64-bit words,
+    # built in chunks so that no (candidates x m) boolean array is held at once
+    n_words = -(-m // 64)
+    position = np.full((m, 64 * n_words), width, dtype=np.int32)  # width: outside every prefix
+    position[np.arange(m)[:, None], order] = np.arange(width, dtype=np.int32)
+    rows = max(1, _ROW_BLOCK_ELEMENTS // position.shape[1])
+    words = np.concatenate(
+        [np.packbits(position[center[s:s + rows]] < length[s:s + rows, None], axis=1)
+         for s in range(0, max(len(center), 1), rows)]).view(np.uint64)
+    # lexsort is stable, so each run of equal bitsets starts at its first occurrence
+    by_bits = np.lexsort(words.T)
+    ranked = words[by_bits]
+    is_first = np.ones(len(ranked), dtype=bool)
+    is_first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    keep = np.sort(by_bits[is_first])
+    center, length = center[keep], length[keep]
+    radius = np.asarray(dm, dtype=float)[center, order[center, length - 1]]
+    return WindowSet(order, center, length, radius)

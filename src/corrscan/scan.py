@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .region import CandidateCluster, StudyRegion, WindowSet
+from .region import CandidateCluster, InputError, StudyRegion, WindowSet
 
 __all__ = [
     "ScanResult",
@@ -22,6 +22,7 @@ __all__ = [
     "simulate_null_model1",
     "model1_simulator",
     "llr_star_batch",
+    "rank_pvalue",
     "mc_pvalue",
 ]
 
@@ -120,49 +121,123 @@ class ScanResult:
         return json.dumps(self.to_dict(sr), **kwargs)
 
 
-def _tie_key(windows, idx):
-    w = windows[idx]
-    return (len(w.members), tuple(sorted(w.members)))
+def _as_counts(counts, m):
+    """A (k, m) int64 view of whole, nonnegative counts (one row for a vector)."""
+    arr = np.asarray(counts)
+    out = np.atleast_2d(arr.astype(np.int64))
+    if out.ndim != 2 or out.shape[1] != m:
+        raise InputError(f"counts must have {m} columns, got shape {arr.shape}")
+    if not np.array_equal(out, np.atleast_2d(arr)) or (out.size and out.min() < 0):
+        raise InputError("counts must be nonnegative whole numbers")
+    return out
+
+
+# case totals below this use a k log k lookup table (8 bytes per entry)
+_XLOGX_TABLE_SIZE = 1 << 22
+
+
+def _llr_kernel(populations, windows: WindowSet, y_max):
+    """Evaluator of every window's statistic for (k, m) count blocks.
+
+    With integer counts the statistic is
+    ``T[y] + T[Y-y] - T[Y] - y log mu - (Y-y) log(1-mu)``, where
+    ``T[k] = k log k`` (a table up to ``y_max``), ``y`` the window count,
+    ``Y`` the row total and ``mu = n_c / N`` the window's population share.
+    It is gated to zero unless ``y N > Y n_c`` (inside rate higher), and for
+    a window holding every region.  Gated-in values are not clamped at zero,
+    so callers take ``max(., 0)``.  ``scan`` and ``llr_star_batch`` share
+    this arithmetic, so equal count vectors give bit-equal statistics.
+
+    Returns the evaluator, which maps a count block to (llr, y_c) of shape
+    (windows, k), and the per-window populations ``n_c``.
+    """
+    n = np.asarray(populations, dtype=float)
+    n_c = windows.aggregate(n)
+    n_g = n.sum()
+    mu = n_c / n_g
+    whole = np.flatnonzero((windows.length == windows.m) | (mu >= 1))
+    mu[whole] = 0.5  # any share in (0, 1): these windows are gated to zero below
+    log_out = np.log1p(-mu)[:, None]
+    logit = (np.log(mu) - np.log1p(-mu))[:, None]
+    if y_max < _XLOGX_TABLE_SIZE:
+        k = np.arange(int(y_max) + 1, dtype=float)
+        xlogx = (k * np.log(np.maximum(k, 1.0))).__getitem__
+    else:  # totals too large for a table: the same product, evaluated in place
+        def xlogx(v):
+            v = np.asarray(v, dtype=float)
+            return v * np.log(np.maximum(v, 1.0))
+    n_c_col = n_c[:, None]
+
+    def evaluate(counts):
+        y_c = windows.window_sums(counts)
+        y_g = counts.sum(axis=1)
+        if (y_g == y_g[0]).all():
+            y_g = y_g[:1]  # one total: the row terms below stay (windows, 1)
+        llr = xlogx(y_c)
+        llr += xlogx(y_g - y_c)
+        llr -= y_c * logit
+        llr -= xlogx(y_g) + y_g * log_out
+        low = y_c * n_g <= y_g * n_c_col
+        low[whole] = True
+        np.putmask(llr, low, 0.0)
+        return llr, y_c
+
+    return evaluate, n_c
+
+
+def _ranked(windows: WindowSet, idx, llr):
+    """Window indices ``idx`` ordered by (-llr, size, sorted members)."""
+    idx = idx[np.lexsort((windows.length[idx], -llr[idx]))]
+    same = (np.diff(llr[idx]) == 0) & (np.diff(windows.length[idx]) == 0)
+    if same.any():
+        # exact ties on (llr, size): order each tied run by its sorted members
+        before = np.r_[False, same[:-1]]
+        after = np.r_[same[1:], False]
+        for s, e in zip(np.flatnonzero(same & ~before), np.flatnonzero(same & ~after) + 2):
+            idx[s:e] = sorted(idx[s:e], key=lambda i: np.sort(windows.members(i)).tolist())
+    return idx
 
 
 def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanResult:
     """Maximize the statistic over windows; report primary and secondaries.
 
     ``counts`` overrides the stored per-period counts (used for simulated
-    data on the same geometry).
+    data on the same geometry).  Ties on the statistic go to the smaller
+    window, then to the lexicographically smaller sorted member list;
+    secondaries are taken greedily in that order, disjoint from every
+    window already reported.
     """
     if len(windows) == 0:
         raise ValueError("no candidate windows")
-    y = np.asarray(counts if counts is not None else sr.period_cases(period), dtype=float)
-    n = sr.period_populations(period)
-    y_g = y.sum()
-    n_g = n.sum()
+    y = _as_counts(counts if counts is not None else sr.period_cases(period), sr.m)
+    y_g = int(y.sum())
     if y_g == 0:
         return ScanResult(0.0, None, 0.0, 0, 0.0, ())
-    y_c = windows.aggregate(y)
-    n_c = windows.aggregate(n)
-    # a window equal to the whole region gets outside rate inf -> gated to 0
-    llr = log_lr_vector(y_c, n_c, y_g, n_g)
+    kernel, n_c = _llr_kernel(sr.period_populations(period), windows, y_g)
+    llr, y_c = kernel(y)
+    llr, y_c = np.maximum(llr[:, 0], 0.0), y_c[:, 0]
 
-    best = np.flatnonzero(llr == llr.max())
-    primary_idx = min(best, key=lambda i: _tie_key(windows, i))
-    order = sorted(range(len(windows)), key=lambda i: (-llr[i],) + _tie_key(windows, i))
-    taken = set(windows[primary_idx].members)
+    positive = np.flatnonzero(llr > 0)
+    if len(positive):
+        ranked = _ranked(windows, positive, llr)
+    else:  # every window scores 0: the smallest windows tie for primary
+        smallest = np.flatnonzero(windows.length == windows.length.min())
+        ranked = _ranked(windows, smallest, llr)[:1]
+    primary = ranked[0]
+    # greedy: the next secondary is the best-ranked window disjoint from all taken
+    blocked = windows.overlapping(windows.members(primary))
     secondaries = []
-    for i in order:
-        if i == primary_idx or llr[i] <= 0:
-            continue
-        members = set(windows[i].members)
-        if members & taken:
-            continue
-        taken |= members
+    rest = ranked[1:]
+    while len(rest := rest[~blocked[rest]]):
+        i = rest[0]
         secondaries.append((windows[i], float(llr[i]), int(y_c[i]), float(n_c[i])))
+        blocked |= windows.overlapping(windows.members(i))
     return ScanResult(
-        llr_star=float(llr[primary_idx]),
-        primary=windows[primary_idx],
-        primary_llr=float(llr[primary_idx]),
-        primary_y=int(y_c[primary_idx]),
-        primary_n=float(n_c[primary_idx]),
+        llr_star=float(llr[primary]),
+        primary=windows[primary],
+        primary_llr=float(llr[primary]),
+        primary_y=int(y_c[primary]),
+        primary_n=float(n_c[primary]),
         secondaries=tuple(secondaries),
     )
 
@@ -189,15 +264,25 @@ def model1_simulator(sr: StudyRegion, period=None):
 
 
 def llr_star_batch(counts, populations, windows: WindowSet):
-    """Max statistic for each row of a (k, m) count matrix, vectorized."""
-    counts = np.asarray(counts, dtype=float)
-    n = np.asarray(populations, dtype=float)
-    y_c = windows.aggregate(counts)  # (k, n_win)
-    n_c = windows.aggregate(n)  # (n_win,)
-    y_g = counts.sum(axis=1, keepdims=True)
-    n_g = n.sum()
-    llr = log_lr_vector(y_c, n_c[None, :], y_g, n_g)
-    return llr.max(axis=1)
+    """Max statistic for each row of a (k, m) count matrix.
+
+    Rows are evaluated ``windows.chunk_rows`` at a time by the kernel that
+    :func:`scan` uses."""
+    counts = _as_counts(counts, windows.m)
+    out = np.zeros(len(counts))
+    if len(windows) == 0 or len(counts) == 0:
+        return out
+    kernel, _ = _llr_kernel(populations, windows, counts.sum(axis=1).max())
+    step = windows.chunk_rows
+    for s in range(0, len(counts), step):
+        out[s:s + step] = kernel(counts[s:s + step])[0].max(axis=0)
+    return np.maximum(out, 0.0)
+
+
+def rank_pvalue(observed, reference):
+    """Monte Carlo rank p-value ``(1 + #{reference >= observed}) / (len(reference) + 1)``."""
+    reference = np.asarray(reference)
+    return (1 + int(np.count_nonzero(reference >= observed))) / (len(reference) + 1)
 
 
 def mc_pvalue(observed_llr, sr: StudyRegion, windows: WindowSet, M=999,
@@ -207,7 +292,7 @@ def mc_pvalue(observed_llr, sr: StudyRegion, windows: WindowSet, M=999,
     ``counts`` overrides the stored per-period counts when conditioning the
     default Model I simulator on a simulated dataset's total."""
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise InputError(f"Monte Carlo size M must be >= 1, got {M}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if null_simulator is not None:
         simulate = null_simulator
@@ -216,7 +301,5 @@ def mc_pvalue(observed_llr, sr: StudyRegion, windows: WindowSet, M=999,
         y_g = int(np.asarray(counts).sum()) if counts is not None else sr.total_cases(period)
         p = n / n.sum()
         simulate = lambda r, size: r.multinomial(y_g, p, size=size)
-    counts = simulate(rng, M)
-    sims = llr_star_batch(counts, sr.period_populations(period), windows)
-    r = 1 + int(np.count_nonzero(sims >= observed_llr))
-    return r / (M + 1)
+    sims = llr_star_batch(simulate(rng, M), sr.period_populations(period), windows)
+    return rank_pvalue(observed_llr, sims)

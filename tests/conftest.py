@@ -107,6 +107,75 @@ def brute_force_scan(sr, counts=None, max_fraction=0.5):
     return llr_star, best
 
 
+def loop_enumerate_windows(sr, dm, max_fraction):
+    """Reference window enumeration by an explicit per-center loop.
+
+    Returns (center, members, radius) per window, in emission order: centers
+    in index order, prefixes by length, first occurrence of a member set kept.
+    """
+    pop = sr.populations.sum(axis=0)
+    cap = max_fraction * pop.sum()
+    seen = {}
+    for center in range(sr.m):
+        order = [center] + sorted(
+            (k for k in range(sr.m) if k != center),
+            key=lambda k: (dm[center, k], sr.ids[k]),
+        )
+        members = []
+        total = 0.0
+        for k in order:
+            members.append(k)
+            total += pop[k]
+            if total > cap:
+                break
+            key = tuple(sorted(members))
+            if key not in seen:
+                seen[key] = (center, tuple(members), float(dm[center, k]))
+    return list(seen.values())
+
+
+def dense_window_llr(counts, populations, members):
+    """Per-window statistic through a dense (windows x m) membership matrix.
+
+    ``members`` lists each window's member indices; returns (llr, y_c, n_c)
+    with llr of shape (k, windows) for a (k, m) count batch.
+    """
+    from corrscan.scan import log_lr_vector
+
+    counts = np.atleast_2d(np.asarray(counts, dtype=float))
+    n = np.asarray(populations, dtype=float)
+    mat = np.zeros((len(members), len(n)))
+    for r, mem in enumerate(members):
+        mat[r, list(mem)] = 1.0
+    y_c = counts @ mat.T
+    n_c = n @ mat.T
+    llr = log_lr_vector(y_c, n_c[None, :], counts.sum(axis=1, keepdims=True), n.sum())
+    return llr, y_c, n_c
+
+
+def dense_scan(counts, populations, members):
+    """Primary and secondaries by sorting every window on (-llr, size, members).
+
+    Returns (llr_star, primary members, [(members, llr, y_c), ...]).
+    """
+    llr, y_c, _ = dense_window_llr(counts, populations, members)
+    llr, y_c = llr[0], y_c[0]
+
+    def key(i):
+        return (len(members[i]), tuple(sorted(members[i])))
+
+    best = np.flatnonzero(llr == llr.max())
+    primary = min(best, key=key)
+    taken = set(members[primary])
+    secondaries = []
+    for i in sorted(range(len(members)), key=lambda i: (-llr[i],) + key(i)):
+        if i == primary or llr[i] <= 0 or set(members[i]) & taken:
+            continue
+        taken |= set(members[i])
+        secondaries.append((tuple(members[i]), float(llr[i]), int(y_c[i])))
+    return float(llr[primary]), tuple(members[primary]), secondaries
+
+
 def naive_log_posterior(beta, sigma, rho, z, y, n, dm, nu=1.0):
     """Term-by-term summation using an independent Matérn evaluation."""
     from scipy.special import kv, gamma

@@ -142,3 +142,15 @@ def test_check_theory_command(tmp_path):
     assert {c["name"] for c in report["checks"]} == {
         "second_order_tail_expansion", "correction_sign_condition",
         "heavier_tail_onset_exists"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--rho-upper", "1"],
+    ["adjusted-scan", "--mc-size", "50"],
+    ["scan", "--mc-size", "0"],
+])
+def test_bad_model_arguments_are_input_errors(region_files, argv, capsys):
+    geo, pop, cas = region_files
+    code = main([argv[0], "--geo", geo, "--pop", pop, "--cas", cas, *argv[1:]])
+    assert code == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err

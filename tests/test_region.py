@@ -268,3 +268,16 @@ def test_windows_dedupe_and_membership_property(m, seed):
         assert w.center in w.members
         assert sum(pop[j] for j in w.members) <= cap + 1e-9
     assert isinstance(ws, WindowSet)
+
+
+def test_period_index_position_bounds():
+    sr = StudyRegion(ids=("A",), centroids=[[0, 0]], periods=("all",),
+                     populations=[[1.0]], cases=[[2]])
+    assert sr.period_index(0) == 0
+    for bad in (7, 1, -1):
+        with pytest.raises(InputError, match="out of range"):
+            sr.period_index(bad)
+    labelled = StudyRegion(ids=("A",), centroids=[[0, 0]], periods=(2019, 2020),
+                           populations=[[1.0], [1.0]], cases=[[1], [3]])
+    assert labelled.period_index(2020) == 1  # a label wins over a position
+    assert labelled.period_index(1) == 1
