@@ -334,7 +334,10 @@ def enumerate_windows(sr: StudyRegion, dm: np.ndarray, max_fraction: float = 0.5
     words = np.concatenate(
         [np.packbits(position[center[s:s + rows]] < length[s:s + rows, None], axis=1)
          for s in range(0, max(len(center), 1), rows)]).view(np.uint64)
-    # lexsort is stable, so each run of equal bitsets starts at its first occurrence
+    # lexsort is stable, so each run of equal bitsets starts at its first
+    # occurrence.  np.unique(words, axis=0, return_index=True) gives the same
+    # rows but sorts a void view of them, and doubled the enumeration time on
+    # a 2-CPU x86-64 host (0.017 -> 0.035-0.041 s at m = 200, 0.10 -> 0.16 s at m = 400)
     by_bits = np.lexsort(words.T)
     ranked = words[by_bits]
     is_first = np.ones(len(ranked), dtype=bool)

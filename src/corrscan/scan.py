@@ -132,21 +132,19 @@ def _as_counts(counts, m):
     return out
 
 
-# case totals below this use a k log k lookup table (8 bytes per entry)
-_XLOGX_TABLE_SIZE = 1 << 22
-
-
-def _llr_kernel(populations, windows: WindowSet, y_max):
+def _llr_kernel(populations, windows: WindowSet):
     """Evaluator of every window's statistic for (k, m) count blocks.
 
-    With integer counts the statistic is
-    ``T[y] + T[Y-y] - T[Y] - y log mu - (Y-y) log(1-mu)``, where
-    ``T[k] = k log k`` (a table up to ``y_max``), ``y`` the window count,
-    ``Y`` the row total and ``mu = n_c / N`` the window's population share.
-    It is gated to zero unless ``y N > Y n_c`` (inside rate higher), and for
-    a window holding every region.  Gated-in values are not clamped at zero,
-    so callers take ``max(., 0)``.  ``scan`` and ``llr_star_batch`` share
-    this arithmetic, so equal count vectors give bit-equal statistics.
+    With whole-number counts the statistic is
+    ``T(y) + T(Y-y) - T(Y) - y log mu - (Y-y) log(1-mu)``, where
+    ``T(k) = k log k``, ``y`` the window count, ``Y`` the row total and
+    ``mu = n_c / N`` the window's population share.  It is gated to zero
+    unless ``y N > Y n_c`` (inside rate higher), and for a window holding
+    every region.  Gated-in values are not clamped at zero, so callers take
+    ``max(., 0)``.  ``scan`` and ``llr_star_batch`` share this arithmetic, so
+    equal count vectors give bit-equal statistics.  The terms are of size
+    ``Y log Y``, so the absolute rounding error grows with the total: about
+    ``2 eps Y log Y`` against the rate-ratio form of :func:`log_lr_vector`.
 
     Returns the evaluator, which maps a count block to (llr, y_c) of shape
     (windows, k), and the per-window populations ``n_c``.
@@ -159,16 +157,16 @@ def _llr_kernel(populations, windows: WindowSet, y_max):
     mu[whole] = 0.5  # any share in (0, 1): these windows are gated to zero below
     log_out = np.log1p(-mu)[:, None]
     logit = (np.log(mu) - np.log1p(-mu))[:, None]
-    if y_max < _XLOGX_TABLE_SIZE:
-        k = np.arange(int(y_max) + 1, dtype=float)
-        xlogx = (k * np.log(np.maximum(k, 1.0))).__getitem__
-    else:  # totals too large for a table: the same product, evaluated in place
-        def xlogx(v):
-            v = np.asarray(v, dtype=float)
-            return v * np.log(np.maximum(v, 1.0))
     n_c_col = n_c[:, None]
 
+    def xlogx(v):
+        out = np.maximum(v, 1.0)
+        np.log(out, out=out)
+        out *= v
+        return out
+
     def evaluate(counts):
+        counts = counts.astype(float)  # whole numbers below 2**53 sum exactly
         y_c = windows.window_sums(counts)
         y_g = counts.sum(axis=1)
         if (y_g == y_g[0]).all():
@@ -213,7 +211,7 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
     y_g = int(y.sum())
     if y_g == 0:
         return ScanResult(0.0, None, 0.0, 0, 0.0, ())
-    kernel, n_c = _llr_kernel(sr.period_populations(period), windows, y_g)
+    kernel, n_c = _llr_kernel(sr.period_populations(period), windows)
     llr, y_c = kernel(y)
     llr, y_c = np.maximum(llr[:, 0], 0.0), y_c[:, 0]
 
@@ -272,7 +270,7 @@ def llr_star_batch(counts, populations, windows: WindowSet):
     out = np.zeros(len(counts))
     if len(windows) == 0 or len(counts) == 0:
         return out
-    kernel, _ = _llr_kernel(populations, windows, counts.sum(axis=1).max())
+    kernel, _ = _llr_kernel(populations, windows)
     step = windows.chunk_rows
     for s in range(0, len(counts), step):
         out[s:s + step] = kernel(counts[s:s + step])[0].max(axis=0)

@@ -1,8 +1,6 @@
 """Prefix-sum scan path against the dense membership-matrix oracle, plus
 invariances of the maximum statistic that no unit test pins down."""
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,18 +111,23 @@ def test_observed_ties_its_own_simulation_exactly():
     assert llr_star_batch(sims, sr.populations[0], ws)[-1] == obs
 
 
-def test_large_totals_skip_the_xlogx_table(monkeypatch):
-    scan_module = importlib.import_module("corrscan.scan")  # the package re-exports scan()
-    rng = np.random.default_rng(9)
-    sr = random_region(rng, 30)
+@pytest.mark.parametrize("scale", [1, 1000])
+def test_large_totals_match_dense_within_claimed_bound(scale):
+    # the integer form subtracts terms of size Y log Y, so its rounding error
+    # grows with the total Y: the claimed bound is 4 eps Y log Y per window
+    rng = np.random.default_rng(scale)
+    sr = random_region(rng, 40)
     ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
-    sims = np.vstack([_null_batch(rng, sr, 20), sr.cases[0]])
     n = sr.populations[0]
-    table = llr_star_batch(sims, n, ws)
-    monkeypatch.setattr(scan_module, "_XLOGX_TABLE_SIZE", 4)
-    direct = llr_star_batch(sims, n, ws)
-    assert np.allclose(direct, table, rtol=0, atol=1e-10)
-    assert direct[-1] == scan(sr, ws, period="t0").llr_star
+    total = int(sr.cases[0].sum()) * scale
+    counts = np.vstack([sr.cases[0] * scale, rng.multinomial(total, n / n.sum(), size=20)])
+    dense = dense_window_llr(counts, n, [w.members for w in ws])[0]
+    bound = 4 * np.finfo(float).eps * total * np.log(total)
+    assert np.max(np.abs(llr_star_batch(counts, n, ws) - dense.max(axis=1))) <= bound
+    res = scan(sr, ws, period="t0", counts=counts[0])
+    by_window = {tuple(w.members): i for i, w in enumerate(ws)}
+    for c, llr, _, _ in ((res.primary, res.primary_llr, 0, 0), *res.secondaries):
+        assert abs(llr - dense[0, by_window[c.members]]) <= bound
 
 
 def test_counts_must_be_whole_and_nonnegative(small_region):
