@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matern import MaternParams, CovFactor, build_cov, cholesky, simulate_grf
-from .mcmc import McmcConfig, ModelIIFit, PriorSpec, fit_model2, posterior_means
+from .mcmc import McmcConfig, PriorSpec, fit_model2, posterior_means
 from .region import InputError, StudyRegion, WindowSet
-from .scan import llr_star_batch, mc_pvalue, rank_pvalue, scan
+from .scan import llr_star_batch, mc_pvalue, model1_simulator, rank_pvalue, scan
 
 __all__ = [
     "AdjustedScanConfig",
@@ -32,7 +32,7 @@ def simulate_model2_counts(populations, beta, factor: CovFactor, seed=None, size
 
     Unconditional on the total count; deterministic given seed.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = np.asarray(populations, dtype=float)
     z = np.atleast_2d(simulate_grf(factor, rng, size=size))
     with np.errstate(over="ignore"):
@@ -72,12 +72,10 @@ class AdjustedScanConfig:
     prior: PriorSpec
     nu: float = 1.0
     alpha_screen: float = 0.1
-    alpha: float = 0.05
     M: int = 999
     max_iter: int = 5
     mcmc: McmcConfig = field(default_factory=McmcConfig)
     seed: object = None
-    posterior_predictive: bool = False
     max_window_fraction: float = 0.5
 
     def __post_init__(self):
@@ -121,33 +119,49 @@ def _clusters_of(result):
     return out
 
 
-def _reference_sample(sr, windows, fit, y_g, period, rng, M, posterior_predictive, nu, dm):
-    """M draws of the max statistic under the fitted mixed model."""
-    n = sr.period_populations(period)
-    if not posterior_predictive:
-        _, sigma_hat, _, rho_grid = posterior_means(fit)
-        params = MaternParams(sigma=max(sigma_hat, 1e-8), rho=rho_grid, nu=nu)
-        cov = build_cov(dm, params)
-        factor = cholesky(cov)
-        beta_sim = recentered_intercept(y_g, n, np.diag(cov))
-        counts = simulate_model2_counts(n, beta_sim, factor, rng, size=M,
-                                        region_ids=sr.ids)
-        return llr_star_batch(counts, n, windows), {
+def _screen(clusters, reference, alpha):
+    """Member tuples of the clusters whose rank p-value against ``reference``
+    is at most ``alpha``."""
+    return {c.members for c, llr in clusters if rank_pvalue(llr, reference) <= alpha}
+
+
+def _fit_regions(screened, m):
+    """Regions inside and outside the screened clusters, as (excluded, kept).
+
+    The mixed model is fit on the kept regions only, and needs at least 5."""
+    excluded = sorted({i for members in screened for i in members})
+    kept = [i for i in range(m) if i not in excluded]
+    if len(kept) < 5:
+        raise ValueError(
+            "fewer than 5 regions left outside detected clusters; use a larger "
+            "study region or a stricter screening level"
+        )
+    return excluded, kept
+
+
+def _fitted_reference(dm, sigma, rho, nu):
+    """Reference sampler under the mixed model fitted at (sigma, rho, nu).
+
+    The field's covariance factor is built once (sigma floored at 1e-8).
+    ``sample(populations, y_g, windows, rng, M, region_ids)`` re-centres the
+    intercept so the expected total is ``y_g``, draws M datasets and returns
+    their max statistics with the simulation parameters."""
+    params = MaternParams(sigma=max(sigma, 1e-8), rho=rho, nu=nu)
+    cov = build_cov(dm, params)
+    factor = cholesky(cov)
+    diag = np.diag(cov)
+
+    def sample(populations, y_g, windows, rng, M, region_ids):
+        beta_sim = recentered_intercept(y_g, populations, diag)
+        counts = simulate_model2_counts(populations, beta_sim, factor, rng, size=M,
+                                        region_ids=region_ids)
+        return llr_star_batch(counts, populations, windows), {
             "beta_sim": beta_sim,
             "sigma": params.sigma,
             "rho": params.rho,
         }
-    # sensitivity path: mix over retained posterior draws
-    idx = rng.integers(0, fit.n_draws, size=M)
-    counts = np.empty((M, sr.m), dtype=np.int64)
-    for j, i in enumerate(idx):
-        params = MaternParams(sigma=max(float(fit.sigma[i]), 1e-8),
-                              rho=float(fit.rho[i]), nu=nu)
-        cov = build_cov(dm, params)
-        factor = cholesky(cov)
-        beta_sim = recentered_intercept(y_g, n, np.diag(cov))
-        counts[j] = simulate_model2_counts(n, beta_sim, factor, rng, region_ids=sr.ids)
-    return llr_star_batch(counts, n, windows), {"posterior_predictive": True}
+
+    return sample
 
 
 def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanConfig,
@@ -165,38 +179,26 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
     clusters = _clusters_of(observed)
     # initial exclusion from the classical screen: clusters whose llr reaches
     # the screening quantile of the classical reference
-    ref0 = None
     significant = set()
     if clusters:
-        from .scan import model1_simulator
-
-        counts0 = model1_simulator(sr, period)(rng, config.M)
-        ref0 = llr_star_batch(counts0, n, windows)
-        significant = {
-            c.members for c, llr in clusters if rank_pvalue(llr, ref0) <= config.alpha_screen
-        }
+        ref0 = llr_star_batch(model1_simulator(sr, period)(rng, config.M), n, windows)
+        significant = _screen(clusters, ref0, config.alpha_screen)
 
     iterations = []
     converged = False
     final = tuple((c, llr, classical_p) for c, llr in clusters)
+    dm = np.asarray(dm)
     for _ in range(config.max_iter):
-        excluded = sorted({i for members in significant for i in members})
-        fit_regions = [i for i in range(sr.m) if i not in excluded]
-        if len(fit_regions) < 5:
-            raise ValueError(
-                "fewer than 5 regions left outside detected clusters; use a larger "
-                "study region or a stricter screening level"
-            )
-        sub_dm = np.asarray(dm)[np.ix_(fit_regions, fit_regions)]
+        excluded, fit_regions = _fit_regions(significant, sr.m)
+        sub_dm = dm[np.ix_(fit_regions, fit_regions)]
         fit = fit_model2(y[fit_regions], n[fit_regions], sub_dm, config.prior,
                          nu=config.nu, config=config.mcmc,
                          seed=rng.integers(2**63))
-        reference, sim_info = _reference_sample(
-            sr, windows, fit, y.sum(), period, rng, config.M,
-            config.posterior_predictive, config.nu, np.asarray(dm))
-        adjusted = tuple((c, llr, rank_pvalue(llr, reference)) for c, llr in clusters)
-        new_significant = {c.members for c, llr, p in adjusted if p <= config.alpha_screen}
         beta_hat, sigma_hat, rho_hat, rho_grid = posterior_means(fit)
+        reference, sim_info = _fitted_reference(dm, sigma_hat, rho_grid, config.nu)(
+            n, y.sum(), windows, rng, config.M, sr.ids)
+        adjusted = tuple((c, llr, rank_pvalue(llr, reference)) for c, llr in clusters)
+        new_significant = _screen(clusters, reference, config.alpha_screen)
         iterations.append({
             "excluded_regions": excluded,
             "fit": {"beta": beta_hat, "sigma": sigma_hat, "rho": rho_hat,
@@ -243,10 +245,7 @@ def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_peri
     fit = fit_model2(y_train, n_train, dm, config.prior, nu=config.nu,
                      config=config.mcmc, seed=rng.integers(2**63))
     beta_hat, sigma_hat, rho_hat, rho_grid = posterior_means(fit)
-    params = MaternParams(sigma=max(sigma_hat, 1e-8), rho=rho_grid, nu=config.nu)
-    cov = build_cov(np.asarray(dm), params)
-    factor = cholesky(cov)
-    diag = np.diag(cov)
+    sample = _fitted_reference(np.asarray(dm), sigma_hat, rho_grid, config.nu)
 
     results = []
     for period in test_periods:
@@ -256,10 +255,7 @@ def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_peri
         classical_p = mc_pvalue(observed.llr_star, sr, windows, M=config.M,
                                 seed=rng, period=period)
         if y_g > 0:
-            beta_sim = recentered_intercept(y_g, n, diag)
-            counts = simulate_model2_counts(n, beta_sim, factor, rng, size=config.M,
-                                            region_ids=sr.ids)
-            reference = llr_star_batch(counts, n, windows)
+            reference, _ = sample(n, y_g, windows, rng, config.M, sr.ids)
             adjusted_p = rank_pvalue(observed.llr_star, reference)
         else:
             adjusted_p = 1.0

@@ -26,7 +26,7 @@ from .harness import (
     write_run,
 )
 from .matern import NotPositiveDefiniteError
-from .mcmc import ChainDivergenceError, McmcConfig, PriorSpec, fit_model2, posterior_means
+from .mcmc import ChainDivergenceError, McmcConfig, PriorSpec, fit_model2
 from .region import InputError, distance_matrix, enumerate_windows, load_study_region
 from .scan import mc_pvalue, scan
 
@@ -105,7 +105,6 @@ def _adjusted_config(args, cfg):
         prior=PriorSpec(args.rho_upper),
         nu=args.nu,
         alpha_screen=cfg.get("alpha_screen", 0.1),
-        alpha=cfg.get("alpha", 0.05),
         M=args.mc_size,
         max_iter=cfg.get("max_iter", 5),
         mcmc=_mcmc_config(cfg),
@@ -260,9 +259,6 @@ def build_parser():
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config key (dotted path)")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; execution is "
-                             "sequential and seed-derived, so results do not depend on it")
     parser.add_argument("--out-dir", dest="out_dir", default=None)
     parser.add_argument("--strict", action="store_true",
                         help="escalate non-convergence warnings to exit code 4")

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import norm
 
 __all__ = [
     "FdrModel",
@@ -159,7 +158,6 @@ class FdrModel:
     delta0: float
     sigma0: float
     fdr: np.ndarray  # per-input local fdr
-    p0_bound: float = 0.9
 
 
 def local_fdr(model: FdrModel, z):
@@ -172,20 +170,21 @@ def local_fdr(model: FdrModel, z):
     flag = (zq < grid[0]) | (zq > grid[-1])
     zc = np.clip(zq, grid[0], grid[-1])
     f = np.exp(np.interp(zc, grid, logf))
-    f0 = norm.pdf(zc, loc=model.delta0, scale=model.sigma0)
+    x = (zc - model.delta0) / model.sigma0
+    f0 = np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi) / model.sigma0
     val = np.minimum(f0 / f, 1.0)
     if zq.ndim == 0:
         return float(val), bool(flag)
     return val, flag
 
 
-def fit_fdr_model(z, bins=None, spline_df=5, p0_bound=0.9) -> FdrModel:
+def fit_fdr_model(z, bins=None, spline_df=5) -> FdrModel:
     """End-to-end: density fit, empirical null, per-input local fdr."""
     z = np.asarray(z, dtype=float)
     density = fit_empirical_density(z, bins=bins, spline_df=spline_df)
     delta0, sigma0 = fit_empirical_null(density.grid, density.f)
     model = FdrModel(z=z, density=density, delta0=delta0, sigma0=sigma0,
-                     fdr=np.empty(0), p0_bound=p0_bound)
+                     fdr=np.empty(0))
     fdr, _ = local_fdr(model, z)
     return FdrModel(z=z, density=density, delta0=delta0, sigma0=sigma0,
-                    fdr=np.asarray(fdr), p0_bound=p0_bound)
+                    fdr=np.asarray(fdr))

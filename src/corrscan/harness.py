@@ -14,15 +14,17 @@ import numpy as np
 
 from .adjusted import (
     AdjustedScanConfig,
-    model2_simulator,
-    recentered_intercept,
+    _clusters_of,
+    _fit_regions,
+    _fitted_reference,
+    _screen,
     simulate_model2_counts,
     train_test_adjusted_scan,
 )
 from .fdr import fit_fdr_model, nudge_boundary_p, p_to_z
 from .matern import MaternParams, build_cov, cholesky
 from .mcmc import McmcConfig, PriorSpec, fit_model2
-from .region import StudyRegion, distance_matrix, enumerate_windows
+from .region import InputError, StudyRegion, distance_matrix, enumerate_windows
 from .scan import llr_star_batch, model1_simulator, rank_pvalue, scan
 
 __all__ = [
@@ -58,13 +60,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+            raise InputError(f"replicates must be >= 1, got {self.replicates}")
         if self.mc_size < 19:
-            raise ValueError("mc_size must be >= 19")
+            raise InputError(f"mc_size must be >= 19, got {self.mc_size}")
         if not self.sigma_grid or not self.rho_grid or not self.alphas:
-            raise ValueError("grids must be nonempty")
+            raise InputError("grids must be nonempty")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     def content_hash(self):
         payload = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -126,13 +128,6 @@ def synth_geometry(m, bbox=(8.0, 162.0, 8.0, 162.0), seed=None,
     )
 
 
-def _simulate_model2_data(n, beta, factor, rng):
-    with np.errstate(over="ignore"):
-        z = rng.standard_normal(len(n)) @ factor.L.T
-        rates = n * np.exp(beta + z)
-    return rng.poisson(rates)
-
-
 def type1_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTable:
     """Classical scan on data generated from the mixed model (sigma=0 gives
     the independent-Poisson null)."""
@@ -158,13 +153,9 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
 
     for sigma in cfg.sigma_grid:
         for rho in cfg.rho_grid:
+            factor = None
             if sigma > 0 and rho > 0:
-                params = MaternParams(sigma=sigma, rho=rho, nu=cfg.nu)
-                cov = build_cov(dm, params)
-                factor = cholesky(cov)
-            else:
-                cov = np.zeros((sr.m, sr.m))
-                factor = None
+                factor = cholesky(build_cov(dm, MaternParams(sigma=sigma, rho=rho, nu=cfg.nu)))
             pvals = []
             dropped = 0
             streams = master.spawn(cfg.replicates)
@@ -175,7 +166,8 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
                 data_ss, ref_ss, fit_ss = rep_seed.spawn(3)
                 rng_data = np.random.default_rng(data_ss)
                 if factor is not None:
-                    counts = _simulate_model2_data(n, cfg.beta, factor, rng_data)
+                    counts = simulate_model2_counts(n, cfg.beta, factor, rng_data,
+                                                    region_ids=sr.ids)
                 else:
                     counts = rng_data.poisson(n * math.exp(cfg.beta))
                 y_g = counts.sum()
@@ -185,7 +177,7 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
                 obs = llr_star_batch(counts[None, :], n, windows)[0]
                 try:
                     ref = _replicate_reference(
-                        sr, windows, dm, n, counts, cfg, prior, factor, cov,
+                        sr, windows, dm, n, counts, cfg, prior, factor,
                         np.random.default_rng(ref_ss), np.random.default_rng(fit_ss))
                 except (ValueError, RuntimeError):
                     dropped += 1
@@ -195,22 +187,16 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
     return table
 
 
-def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, cov,
-                         rng, rng_fit):
+def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, rng, rng_fit):
     """One replicate's reference sample of the max statistic.
 
     ``rng`` drives the reference draws (shared across modes); ``rng_fit``
     drives mode-specific estimation steps so it does not desynchronize the
     reference stream."""
-    if cfg.mode == "classical":
-        p = n / n.sum()
-        sims = rng.multinomial(int(counts.sum()), p, size=cfg.mc_size)
-        return llr_star_batch(sims, n, windows)
+    null = model1_simulator(sr, sr.periods[0], total=counts.sum())
+    if cfg.mode == "classical" or (cfg.mode == "adjusted_true_params" and factor is None):
+        return llr_star_batch(null(rng, cfg.mc_size), n, windows)
     if cfg.mode == "adjusted_true_params":
-        if factor is None:
-            p = n / n.sum()
-            sims = rng.multinomial(int(counts.sum()), p, size=cfg.mc_size)
-            return llr_star_batch(sims, n, windows)
         sims = simulate_model2_counts(n, cfg.beta, factor, rng, size=cfg.mc_size,
                                       region_ids=sr.ids)
         return llr_star_batch(sims, n, windows)
@@ -223,32 +209,15 @@ def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, cov,
     # replicate is what an analyst's point estimate looks like from the
     # outside.  Averaging the posterior first would hide that uncertainty and
     # make this mode indistinguishable from adjusted_true_params.
-    p_cond = n / n.sum()
-    screen = llr_star_batch(
-        rng_fit.multinomial(int(counts.sum()), p_cond, size=cfg.mc_size),
-        n, windows)
-    res = scan(sr, windows, counts=counts)
-    excluded = set()
-    for c, llr in ([(res.primary, res.primary_llr)] if res.primary else []) + [
-            (c, llr) for c, llr, _, _ in res.secondaries]:
-        if rank_pvalue(llr, screen) <= 0.1:
-            excluded |= set(c.members)
-    fit_idx = [i for i in range(len(n)) if i not in excluded]
-    if len(fit_idx) < 5:
-        fit_idx = list(range(len(n)))
+    screen = llr_star_batch(null(rng_fit, cfg.mc_size), n, windows)
+    clusters = _clusters_of(scan(sr, windows, counts=counts))
+    _, fit_idx = _fit_regions(_screen(clusters, screen, 0.1), sr.m)
     sub = np.ix_(fit_idx, fit_idx)
     fit = fit_model2(counts[fit_idx], n[fit_idx], dm[sub], prior, nu=cfg.nu,
                      config=cfg.mcmc, seed=rng_fit.integers(2**63))
     j = int(rng_fit.integers(len(fit.sigma)))
-    sigma_hat = float(fit.sigma[j])
-    rho_hat = float(fit.rho[j])
-    params = MaternParams(sigma=max(sigma_hat, 1e-8), rho=rho_hat, nu=cfg.nu)
-    cov_hat = build_cov(dm, params)
-    fac_hat = cholesky(cov_hat)
-    beta_sim = recentered_intercept(int(counts.sum()), n, np.diag(cov_hat))
-    sims = simulate_model2_counts(n, beta_sim, fac_hat, rng, size=cfg.mc_size,
-                                  region_ids=sr.ids)
-    return llr_star_batch(sims, n, windows)
+    sample = _fitted_reference(dm, float(fit.sigma[j]), float(fit.rho[j]), cfg.nu)
+    return sample(n, counts.sum(), windows, rng, cfg.mc_size, sr.ids)[0]
 
 
 def surveillance_run(sr: StudyRegion, train_period, config: AdjustedScanConfig,

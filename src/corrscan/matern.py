@@ -111,7 +111,7 @@ def cholesky(sigma_mat, jitter_scale=None) -> CovFactor:
 
 def simulate_grf(factor: CovFactor, seed=None, size=1):
     """Draw Z = L eps with eps i.i.d. standard normal; (size, m) or (m,)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     eps = rng.standard_normal((size, factor.dimension))
     z = eps @ factor.L.T
     return z[0] if size == 1 else z

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +60,9 @@ class McmcConfig:
 
     def __post_init__(self):
         if self.burn_in >= self.n_iter:
-            raise ValueError("burn_in must be < n_iter")
+            raise InputError(f"burn_in ({self.burn_in}) must be < n_iter ({self.n_iter})")
         if self.thin < 1:
-            raise ValueError("thin must be >= 1")
+            raise InputError(f"thin must be >= 1, got {self.thin}")
 
 
 class ChainDivergenceError(RuntimeError):

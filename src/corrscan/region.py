@@ -9,7 +9,7 @@ single comma; lines starting with '#' are ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

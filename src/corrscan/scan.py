@@ -8,7 +8,7 @@ inside rate is the higher one.  All work is in log space.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,25 +240,24 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
     )
 
 
-def simulate_null_model1(sr: StudyRegion, period=None, seed=None, size=1):
-    """Multinomial redistribution of the observed total, conditional on Y_G."""
-    rng = np.random.default_rng(seed)
-    n = sr.period_populations(period)
-    y_g = sr.total_cases(period)
-    counts = rng.multinomial(y_g, n / n.sum(), size=size)
-    return counts[0] if size == 1 else counts
-
-
-def model1_simulator(sr: StudyRegion, period=None):
-    """Batch simulator closure for :func:`mc_pvalue` (Model I, conditional)."""
+def model1_simulator(sr: StudyRegion, period=None, total=None):
+    """Batch simulator closure for :func:`mc_pvalue`: the conditional Model I
+    null, a multinomial redistribution of ``total`` cases (default: the
+    period's observed total) in proportion to the populations."""
     n = sr.period_populations(period)
     p = n / n.sum()
-    y_g = sr.total_cases(period)
+    y_g = sr.total_cases(period) if total is None else int(total)
 
     def simulate(rng, size):
         return rng.multinomial(y_g, p, size=size)
 
     return simulate
+
+
+def simulate_null_model1(sr: StudyRegion, period=None, seed=None, size=1):
+    """Multinomial redistribution of the observed total, conditional on Y_G."""
+    counts = model1_simulator(sr, period)(np.random.default_rng(seed), size)
+    return counts[0] if size == 1 else counts
 
 
 def llr_star_batch(counts, populations, windows: WindowSet):
@@ -284,20 +283,12 @@ def rank_pvalue(observed, reference):
 
 
 def mc_pvalue(observed_llr, sr: StudyRegion, windows: WindowSet, M=999,
-              null_simulator=None, seed=None, period=None, counts=None):
-    """Rank-based Monte Carlo p-value r/(M+1) against a pluggable null.
-
-    ``counts`` overrides the stored per-period counts when conditioning the
-    default Model I simulator on a simulated dataset's total."""
+              null_simulator=None, seed=None, period=None):
+    """Rank-based Monte Carlo p-value r/(M+1) against a pluggable null
+    (default: :func:`model1_simulator` for ``period``)."""
     if M < 1:
         raise InputError(f"Monte Carlo size M must be >= 1, got {M}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if null_simulator is not None:
-        simulate = null_simulator
-    else:
-        n = sr.period_populations(period)
-        y_g = int(np.asarray(counts).sum()) if counts is not None else sr.total_cases(period)
-        p = n / n.sum()
-        simulate = lambda r, size: r.multinomial(y_g, p, size=size)
-    sims = llr_star_batch(simulate(rng, M), sr.period_populations(period), windows)
+    simulate = model1_simulator(sr, period) if null_simulator is None else null_simulator
+    sims = llr_star_batch(simulate(np.random.default_rng(seed), M),
+                          sr.period_populations(period), windows)
     return rank_pvalue(observed_llr, sims)

@@ -9,11 +9,10 @@ when k exceeds the mean plus one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammaln
-from scipy.stats import linregress
 
 from .matern import cholesky
 
@@ -73,7 +72,7 @@ def mixture_tail(k, beta, populations, sigma_mat, method="monte_carlo",
         return float(w @ vals), 0.0
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     factor = cholesky(sig, jitter_scale=max(float(np.mean(np.diag(sig))), 1e-30))
     z = rng.standard_normal((n_samples, len(n))) @ factor.L.T
     lam = math.exp(beta) * (n[None, :] * np.exp(z)).sum(axis=1)
@@ -169,9 +168,8 @@ def verify_prop2(setup: TailSetup, n_grid=(100, 1000, 10_000)):
     usable = [r for r in rows if r["remainder"] > 0]
     slope = float("nan")
     if len(usable) >= 2:
-        fit = linregress(np.log([r["n"] for r in usable]),
-                         np.log([r["remainder"] for r in usable]))
-        slope = float(fit.slope)
+        slope = float(np.polyfit(np.log([r["n"] for r in usable]),
+                                 np.log([r["remainder"] for r in usable]), 1)[0])
     return {"rows": rows, "loglog_slope": slope, "v_n": v_n,
             "setup": {"beta": setup.beta, "k": setup.k, "method": setup.method}}
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,3 +156,23 @@ def test_bad_model_arguments_are_input_errors(region_files, argv, capsys):
     code = main([argv[0], "--geo", geo, "--pop", pop, "--cas", cas, *argv[1:]])
     assert code == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, argv", [
+    ([], ["type1-study", "--replicates", "0"]),
+    ([], ["type1-study", "--mc-size", "5"]),
+    (["--set", "mode=bogus"], ["adjusted-study"]),
+    (["--set", "mcmc.n_iter=100", "--set", "mcmc.burn_in=5000"], ["fit"]),
+])
+def test_bad_study_and_chain_settings_are_input_errors(region_files, flags, argv, capsys):
+    geo, pop, cas = region_files
+    code = main([*flags, argv[0], "--geo", geo, "--pop", pop, "--cas", cas, *argv[1:]])
+    assert code == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, corrscan.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

@@ -142,6 +142,18 @@ def test_sigma_zero_reduces_adjusted_to_conditional_reference():
     assert c.pvalues[(0.0, 0.0, "classical")] == t.pvalues[(0.0, 0.0, "adjusted_true_params")]
 
 
+def test_fitted_replicate_with_too_few_clean_regions_is_dropped():
+    # on 5 regions any screened cluster leaves fewer than 5 to fit: such a
+    # replicate is dropped, the rule adjusted_scan applies, not fit on all regions
+    sr = synth_geometry(5, seed=4)
+    cfg = _cfg(mode="adjusted_fitted", sigma_grid=(1.0,), beta=-3.0, replicates=4,
+               rho_upper=10)
+    table = adjusted_study(sr, cfg)
+    dropped = table.rows[0]["dropped"]
+    assert dropped >= 1
+    assert len(table.pvalues[(1.0, 20.0, "adjusted_fitted")]) + dropped == 4
+
+
 # ------------------------------------------------------------- surveillance
 
 def _multi_period_region(n_periods, seed=0, cases=600, m=10, hot_period=None):
