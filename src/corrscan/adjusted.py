@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matern import MaternParams, CovFactor, build_cov, cholesky, simulate_grf
-from .mcmc import McmcConfig, PriorSpec, fit_model2, posterior_means
+from .mcmc import McmcConfig, PriorSpec, TooFewRegionsError, fit_model2, posterior_means
 from .region import InputError, StudyRegion, WindowSet
 from .scan import llr_star_batch, mc_pvalue, model1_simulator, rank_pvalue, scan
 
@@ -132,7 +132,7 @@ def _fit_regions(screened, m):
     excluded = sorted({i for members in screened for i in members})
     kept = [i for i in range(m) if i not in excluded]
     if len(kept) < 5:
-        raise ValueError(
+        raise TooFewRegionsError(
             "fewer than 5 regions left outside detected clusters; use a larger "
             "study region or a stricter screening level"
         )

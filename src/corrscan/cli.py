@@ -146,13 +146,13 @@ def _experiment_config(args, cfg, mode):
     )
 
 
-def _study(args, cfg, mode):
+def _study(args, cfg, mode, study):
     if args.geo:
         sr = _region_from_args(args)
     else:
         sr = synth_geometry(args.m, seed=args.seed or 0)
     ecfg = _experiment_config(args, cfg, mode)
-    table = type1_study(sr, ecfg) if mode == "classical" else adjusted_study(sr, ecfg)
+    table = study(sr, ecfg)
     manifest = {"config": json.loads(json.dumps(ecfg.__dict__, default=str)),
                 "rows": table.rows}
     if args.out_dir:
@@ -163,11 +163,11 @@ def _study(args, cfg, mode):
 
 
 def cmd_type1_study(args, cfg):
-    return _study(args, cfg, "classical")
+    return _study(args, cfg, "classical", type1_study)
 
 
 def cmd_adjusted_study(args, cfg):
-    return _study(args, cfg, cfg.get("mode", "adjusted_true_params"))
+    return _study(args, cfg, cfg.get("mode", "adjusted_true_params"), adjusted_study)
 
 
 def cmd_fdr(args, cfg):

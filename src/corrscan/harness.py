@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -22,8 +23,9 @@ from .adjusted import (
     train_test_adjusted_scan,
 )
 from .fdr import fit_fdr_model, nudge_boundary_p, p_to_z
-from .matern import MaternParams, build_cov, cholesky
-from .mcmc import McmcConfig, PriorSpec, fit_model2
+from .matern import MaternParams, NotPositiveDefiniteError, build_cov, cholesky
+from .mcmc import (ChainDivergenceError, McmcConfig, PriorSpec, TooFewRegionsError,
+                   ZeroCountsError, fit_model2)
 from .region import InputError, StudyRegion, distance_matrix, enumerate_windows
 from .scan import llr_star_batch, model1_simulator, rank_pvalue, scan
 
@@ -38,6 +40,11 @@ __all__ = [
 ]
 
 MODES = ("classical", "adjusted_fitted", "adjusted_true_params")
+
+# A replicate with no cases, or whose reference fails for one of these causes,
+# is dropped and counted by cause; any other exception propagates.
+DROP_CAUSES = (TooFewRegionsError, ZeroCountsError, ChainDivergenceError,
+               NotPositiveDefiniteError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,9 @@ class ProportionTable:
     rows: list = field(default_factory=list)
     pvalues: dict = field(default_factory=dict)  # (sigma, rho, mode) -> list of p
 
-    def add_setting(self, sigma, rho, mode, pvals, alphas, dropped=0):
+    def add_setting(self, sigma, rho, mode, pvals, alphas, dropped_by=None):
+        """``dropped_by`` maps a drop cause's name to its replicate count."""
+        dropped_by = dict(dropped_by or {})
         pvals = np.asarray(pvals, dtype=float)
         self.pvalues[(sigma, rho, mode)] = pvals.tolist()
         r = len(pvals)
@@ -89,7 +98,8 @@ class ProportionTable:
             se = math.sqrt(prop * (1 - prop) / r) if r else float("nan")
             self.rows.append({
                 "sigma": sigma, "rho": rho, "alpha": alpha, "mode": mode,
-                "proportion": prop, "se": se, "replicates": r, "dropped": dropped,
+                "proportion": prop, "se": se, "replicates": r,
+                "dropped": sum(dropped_by.values()), "dropped_by": dict(dropped_by),
             })
 
     def proportion(self, sigma, rho, alpha, mode):
@@ -139,7 +149,7 @@ def type1_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTable:
 def adjusted_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTable:
     """False-alarm study with the mixed-model reference distribution."""
     if cfg.mode not in ("adjusted_fitted", "adjusted_true_params"):
-        raise ValueError("adjusted_study needs an adjusted mode")
+        raise InputError(f"adjusted_study needs an adjusted mode, got {cfg.mode!r}")
     return _false_alarm_study(sr, cfg)
 
 
@@ -157,7 +167,7 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
             if sigma > 0 and rho > 0:
                 factor = cholesky(build_cov(dm, MaternParams(sigma=sigma, rho=rho, nu=cfg.nu)))
             pvals = []
-            dropped = 0
+            dropped_by = Counter()
             streams = master.spawn(cfg.replicates)
             for rep_seed in streams:
                 # separate sub-streams so that, for a fixed master seed, every
@@ -170,20 +180,19 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
                                                     region_ids=sr.ids)
                 else:
                     counts = rng_data.poisson(n * math.exp(cfg.beta))
-                y_g = counts.sum()
-                if y_g == 0:
-                    dropped += 1
+                if counts.sum() == 0:
+                    dropped_by[ZeroCountsError.__name__] += 1
                     continue
                 obs = llr_star_batch(counts[None, :], n, windows)[0]
                 try:
                     ref = _replicate_reference(
                         sr, windows, dm, n, counts, cfg, prior, factor,
                         np.random.default_rng(ref_ss), np.random.default_rng(fit_ss))
-                except (ValueError, RuntimeError):
-                    dropped += 1
+                except DROP_CAUSES as exc:
+                    dropped_by[type(exc).__name__] += 1
                     continue
                 pvals.append(rank_pvalue(obs, ref))
-            table.add_setting(sigma, rho, cfg.mode, pvals, cfg.alphas, dropped)
+            table.add_setting(sigma, rho, cfg.mode, pvals, cfg.alphas, dropped_by)
     return table
 
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import re as _re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky as _scipy_cholesky
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf
 from scipy.special import gamma as _gamma, kv as _kv
 
 __all__ = [
@@ -90,20 +90,18 @@ def cholesky(sigma_mat, jitter_scale=None) -> CovFactor:
     ``jitter_scale`` defaults to the mean diagonal (sigma^2 for a Matérn
     matrix); each ladder rung is jitter_scale * {0, 1e-10, 1e-8, 1e-6}.
     """
-    sigma_mat = np.asarray(sigma_mat, dtype=float)
+    sigma_mat = np.asarray_chkfinite(sigma_mat, dtype=float)
     if jitter_scale is None:
         jitter_scale = float(np.mean(np.diag(sigma_mat))) or 1.0
     minor = None
     for rung in JITTER_LADDER:
         jitter = rung * jitter_scale
-        try:
-            L = _scipy_cholesky(sigma_mat + jitter * np.eye(sigma_mat.shape[0]), lower=True)
-        except LinAlgError as exc:
-            # scipy reports the index of the offending leading minor
-            m = _re.search(r"\d+", str(exc))
-            minor = int(m.group()) if m else -1
+        L, info = dpotrf(sigma_mat + jitter * np.eye(sigma_mat.shape[0]), lower=1, clean=1)
+        if info < 0:
+            raise ValueError(f"dpotrf: illegal value in argument {-info}")
+        if info > 0:
+            minor = info  # order of the first leading minor that is not positive definite
             continue
-        L = np.tril(L)
         L.setflags(write=False)
         return CovFactor(L=L, jitter=jitter)
     raise NotPositiveDefiniteError(minor, JITTER_LADDER[-1] * jitter_scale)

@@ -1,11 +1,13 @@
-"""Bayesian fit of the spatial Poisson mixed model by Metropolis-within-Gibbs.
+"""Bayesian fit of the spatial Poisson mixed model by Gibbs sampling.
 
 Counts are Poisson with log-rate = beta + log(population) + Z, where Z is a
 zero-mean Gaussian field with Matérn covariance sigma^2 R(rho).  Priors:
 flat on beta, flat on sigma > 0, uniform over an integer grid 1..U for rho.
-The latent field and beta use adaptive random-walk proposals, sigma a
-random walk on log sigma, and rho an exact Gibbs draw over the grid using
-correlation-matrix factors precomputed once per geometry.
+Each iteration updates the whole field by one elliptical slice step under
+its Gaussian prior, draws beta, sigma and rho exactly from their full
+conditionals (two gamma draws and a draw over the grid, using
+correlation-matrix factors precomputed once per geometry), and adds two
+adaptive joint moves that shift and scale the field against beta and sigma.
 """
 
 from __future__ import annotations
@@ -24,8 +26,11 @@ __all__ = [
     "McmcConfig",
     "ModelIIFit",
     "ChainDivergenceError",
+    "TooFewRegionsError",
+    "ZeroCountsError",
     "RhoGridFactors",
     "log_posterior",
+    "elliptical_slice",
     "fit_model2",
     "posterior_means",
     "effective_sample_size",
@@ -69,8 +74,19 @@ class ChainDivergenceError(RuntimeError):
     """sigma drifted far above its running median for too long (improper posterior?)."""
 
 
+class TooFewRegionsError(ValueError):
+    """Fewer than 5 regions to fit the mixed model on."""
+
+
+class ZeroCountsError(ValueError):
+    """Every count in the fit set is zero, so the intercept is not identifiable."""
+
+
 class RhoGridFactors:
-    """Per-grid-point correlation-matrix Cholesky factors, inverses and log-dets."""
+    """Per-grid-point correlation-matrix Cholesky factors, inverses and log-dets.
+
+    ``packed`` holds the upper triangle of each inverse with off-diagonal
+    entries doubled, so :meth:`quad_forms` reads half of ``inv``."""
 
     def __init__(self, dm, prior: PriorSpec, nu: float):
         dm = np.asarray(dm, dtype=float)
@@ -90,6 +106,14 @@ class RhoGridFactors:
             self.logdet[g] = 2.0 * np.log(np.diag(L)).sum()
             linv = np.linalg.solve(L, eye)
             self.inv[g] = linv.T @ linv
+        self.triu = np.triu_indices(m)
+        self.packed = self.inv[:, self.triu[0], self.triu[1]]
+        self.packed *= np.where(self.triu[0] == self.triu[1], 1.0, 2.0)
+
+    def quad_forms(self, z):
+        """z' R^{-1} z at every grid point, shape (n_grid,)."""
+        i, j = self.triu
+        return self.packed @ (z[i] * z[j])
 
 
 def log_posterior(beta, sigma, rho, z, y, n, dm, nu=1.0, prior: PriorSpec | None = None):
@@ -203,157 +227,135 @@ def effective_sample_size(x):
     return float(n / max(1.0, 1.0 + 2.0 * s))
 
 
+def elliptical_slice(z, prior_draw, loglik, current, rng, max_steps=100):
+    """One elliptical slice update (Murray, Adams & MacKay 2010) of ``z`` under
+    a zero-mean Gaussian prior, given a fresh ``prior_draw`` from it and
+    ``current = loglik(z)``; a NaN or -inf log-likelihood never clears the
+    slice.  Returns ``(z, loglik, shrinks)``; after ``max_steps`` shrinks the
+    state is kept, so rounding cannot make the loop spin forever."""
+    log_slice = current + math.log(rng.random())
+    theta = 2.0 * math.pi * rng.random()
+    lo, hi = theta - 2.0 * math.pi, theta
+    for step in range(max_steps):
+        zp = z * math.cos(theta) + prior_draw * math.sin(theta)
+        ll = loglik(zp)
+        if ll > log_slice:
+            return zp, ll, step
+        if theta < 0.0:
+            lo = theta
+        else:
+            hi = theta
+        theta = rng.uniform(lo, hi)
+    return z, current, max_steps
+
+
+def _draw_index(weights, rng):
+    """Index drawn with probability proportional to ``weights`` by inverse CDF: one
+    ``rng.random()``, the same index as ``rng.choice(len(weights), p=weights / weights.sum())``."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _gibbs_intercept(sum_y, s_pop, rng):
+    """beta | z under the flat prior: e^beta ~ Gamma(sum y, rate sum n e^z)."""
+    return math.log(rng.gamma(sum_y) / s_pop)
+
+
+def _gibbs_sigma(quad, m, rng):
+    """sigma | z under the flat prior: sigma^-2 ~ Gamma((m-1)/2, rate z'R^{-1}z / 2)."""
+    return 1.0 / math.sqrt(rng.gamma(0.5 * (m - 1), 2.0 / quad))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing rate is a rejection
 def fit_model2(y, n, dm, prior: PriorSpec, nu=1.0, config: McmcConfig | None = None,
                seed=None, rho_factors: RhoGridFactors | None = None) -> ModelIIFit:
-    """Run the Metropolis-within-Gibbs chain; deterministic given seed."""
+    """Run the Gibbs chain; deterministic given seed."""
     y = np.asarray(y, dtype=float)
     n = np.asarray(n, dtype=float)
-    dm = np.asarray(dm, dtype=float)
     m = len(y)
     if m < 5:
-        raise ValueError("need at least 5 regions in the fit set")
-    if y.sum() <= 0:
-        raise ValueError("all counts are zero: intercept not identifiable under a flat prior")
+        raise TooFewRegionsError("need at least 5 regions in the fit set")
+    sum_y = float(y.sum())
+    if sum_y <= 0:
+        raise ZeroCountsError("all counts are zero: intercept not identifiable under a flat prior")
     config = config or McmcConfig()
     rng = np.random.default_rng(seed)
     fac = rho_factors or RhoGridFactors(dm, prior, nu)
     grid = fac.grid
-    n_grid = len(grid)
+    rinv_total = fac.inv.sum(axis=(1, 2))  # 1' R^{-1} 1 per grid point
 
     # state
-    beta = math.log(y.sum() / n.sum())
+    beta = math.log(sum_y / n.sum())
     z = np.zeros(m)
     sigma = 0.1
-    rho_idx = (n_grid - 1) // 2
-    rinv = fac.inv[rho_idx]
-    qz = rinv @ z
-    quad = float(z @ qz)
-    s_pop = float(np.sum(n * np.exp(z)))  # sum n_i e^{z_i}
-    sum_y = float(y.sum())
+    rho_idx = (len(grid) - 1) // 2
 
-    z_scale = np.full(m, 0.5)
-    beta_scale = 0.1
-    sigma_scale = 0.3
     ridge_scale = 0.1
     scale_scale = 0.3
-    z_acc = np.zeros(m)
-    beta_acc = 0
-    sigma_acc = 0
-    ridge_acc = 0
-    scale_acc = 0
-    rinv_rowsum = fac.inv.sum(axis=2)  # (n_grid, m) = R^{-1} 1
-    rinv_total = rinv_rowsum.sum(axis=1)  # 1' R^{-1} 1
+    z_first = ridge_acc = scale_acc = 0
 
     keep_beta, keep_sigma, keep_rho, keep_z = [], [], [], []
-    sigma_trace = []
+    sigma_trace = np.empty(config.n_iter)
     sigma_median = sigma
     div_streak = 0
     target = config.target_accept
 
-    ny = n.copy()
-    yy = y.copy()
-    exp = math.exp
-    log = math.log
-
     for it in range(config.n_iter):
         adapting = it < config.burn_in
-        eb = exp(beta)
 
-        # componentwise latent-field updates
-        steps = rng.standard_normal(m)
-        logu = np.log(rng.random(m))
-        for i in range(m):
-            zi = z[i]
-            zp = zi + z_scale[i] * steps[i]
-            d = zp - zi
-            rii = rinv[i, i]
-            cross = qz[i] - rii * zi
-            dquad = rii * (zp * zp - zi * zi) + 2.0 * d * cross
-            try:
-                dpois = yy[i] * d - ny[i] * eb * (exp(zp) - exp(zi))
-            except OverflowError:
-                continue
-            if not math.isfinite(dpois):
-                continue
-            if logu[i] < dpois - 0.5 * dquad / (sigma * sigma):
-                s_pop += ny[i] * (exp(zp) - exp(zi))
-                z[i] = zp
-                qz += rinv[:, i] * d
-                quad += dquad
-                z_acc[i] += 1
+        # latent field: elliptical slice update under N(0, sigma^2 R_rho)
+        eb = math.exp(beta)
 
-        # intercept
-        bp = beta + beta_scale * rng.standard_normal()
-        try:
-            dpost = sum_y * (bp - beta) - s_pop * (exp(bp) - eb)
-        except OverflowError:
-            dpost = -np.inf
-        if math.isfinite(dpost) and log(rng.random()) < dpost:
-            beta = bp
-            beta_acc += 1
+        def loglik(v):
+            return float(y @ v) - eb * float(n @ np.exp(v))
+
+        prior_draw = sigma * (fac.chol[rho_idx].L @ rng.standard_normal(m))
+        z, _, shrinks = elliptical_slice(z, prior_draw, loglik, loglik(z), rng)
+        z_first += shrinks == 0
+        s_pop = float(n @ np.exp(z))  # sum n_i e^{z_i}
+
+        beta = _gibbs_intercept(sum_y, s_pop, rng)
 
         # ridge move: shift beta up and the whole field down by the same
         # amount; the Poisson likelihood is invariant, only the Gaussian
         # prior changes, which decorrelates beta from the field level
+        qz = fac.inv[rho_idx] @ z
+        quad = float(z @ qz)
         delta = ridge_scale * rng.standard_normal()
-        q1 = rinv_rowsum[rho_idx]
-        s11 = rinv_total[rho_idx]
-        dquad = delta * delta * s11 - 2.0 * delta * float(np.sum(qz))
-        if log(rng.random()) < -0.5 * dquad / (sigma * sigma):
+        dquad = delta * delta * rinv_total[rho_idx] - 2.0 * delta * float(qz.sum())
+        if math.log(rng.random()) < -0.5 * dquad / (sigma * sigma):
             beta += delta
-            z -= delta
-            qz -= delta * q1
+            z = z - delta
             quad += dquad
-            s_pop = float(np.sum(ny * np.exp(z)))
+            s_pop = float(n @ np.exp(z))
             ridge_acc += 1
 
-        # sigma via random walk on log sigma (flat prior on sigma, +t Jacobian)
-        t = log(sigma)
-        tp = t + sigma_scale * rng.standard_normal()
-        sp = exp(tp)
-        dpost = -0.5 * quad * (1.0 / (sp * sp) - 1.0 / (sigma * sigma)) - m * (tp - t) + (tp - t)
-        if math.isfinite(dpost) and log(rng.random()) < dpost:
-            sigma = sp
-            sigma_acc += 1
+        if quad > 0.0:  # 0 only before z has first moved
+            sigma = _gibbs_sigma(quad, m, rng)
 
         # scaling move: inflate or deflate sigma and the whole field together;
         # the Gaussian prior term quad/sigma^2 is invariant, so the move walks
         # along the prior funnel and is gated by the Poisson likelihood
         # (log ratio = delta-likelihood + delta from the volume terms)
         delta = scale_scale * rng.standard_normal()
-        g = exp(delta)
+        g = math.exp(delta)
         zs = z * g
-        with np.errstate(over="ignore"):
-            new_exp = np.exp(zs)
-        if np.all(np.isfinite(new_exp)):
-            s_new = float(np.sum(ny * new_exp))
-            dpois = float(np.sum(yy * (zs - z))) - exp(beta) * (s_new - s_pop)
-            if math.isfinite(dpois) and log(rng.random()) < dpois + delta:
-                z = zs
-                sigma *= g
-                qz *= g
-                quad *= g * g
-                s_pop = s_new
-                scale_acc += 1
+        s_new = float(n @ np.exp(zs))
+        dpois = float(y @ (zs - z)) - math.exp(beta) * (s_new - s_pop)
+        if math.isfinite(dpois) and math.log(rng.random()) < dpois + delta:
+            z = zs
+            sigma *= g
+            scale_acc += 1
 
         # rho: exact Gibbs over the grid
-        tmp = fac.inv @ z  # (n_grid, m)
-        quad_all = tmp @ z
-        logp = -0.5 * quad_all / (sigma * sigma) - 0.5 * fac.logdet
-        logp -= logp.max()
-        p = np.exp(logp)
-        p /= p.sum()
-        new_idx = int(rng.choice(n_grid, p=p))
-        if new_idx != rho_idx:
-            rho_idx = new_idx
-            rinv = fac.inv[rho_idx]
-            qz = tmp[rho_idx].copy()
-            quad = float(quad_all[rho_idx])
+        logp = -0.5 * fac.quad_forms(z) / (sigma * sigma) - 0.5 * fac.logdet
+        rho_idx = _draw_index(np.exp(logp - logp.max()), rng)
 
         # divergence diagnostic on sigma
-        sigma_trace.append(sigma)
+        sigma_trace[it] = sigma
         if (it + 1) % 500 == 0:
-            sigma_median = float(np.median(sigma_trace))
+            sigma_median = float(np.median(sigma_trace[: it + 1]))
         if sigma > config.divergence_factor * sigma_median:
             div_streak += 1
             if div_streak >= config.divergence_run:
@@ -367,36 +369,21 @@ def fit_model2(y, n, dm, prior: PriorSpec, nu=1.0, config: McmcConfig | None = N
         # proposal adaptation, frozen at end of burn-in
         if adapting and (it + 1) % config.adapt_interval == 0:
             k = config.adapt_interval
-            z_scale *= np.exp(z_acc / k - target)
-            np.clip(z_scale, 1e-3, 10.0, out=z_scale)
-            beta_scale *= math.exp(beta_acc / k - target)
-            beta_scale = min(max(beta_scale, 1e-4), 10.0)
-            sigma_scale *= math.exp(sigma_acc / k - target)
-            sigma_scale = min(max(sigma_scale, 1e-4), 10.0)
             ridge_scale *= math.exp(ridge_acc / k - target)
             ridge_scale = min(max(ridge_scale, 1e-4), 10.0)
             scale_scale *= math.exp(scale_acc / k - target)
             scale_scale = min(max(scale_scale, 1e-4), 10.0)
-            z_acc[:] = 0
-            beta_acc = 0
-            sigma_acc = 0
-            ridge_acc = 0
-            scale_acc = 0
+            ridge_acc = scale_acc = 0
 
-        if not adapting:
-            if (it + 1 - config.burn_in) % config.thin == 0:
-                keep_beta.append(beta)
-                keep_sigma.append(sigma)
-                keep_rho.append(float(grid[rho_idx]))
-                keep_z.append(z.copy())
+        if not adapting and (it + 1 - config.burn_in) % config.thin == 0:
+            keep_beta.append(beta)
+            keep_sigma.append(sigma)
+            keep_rho.append(float(grid[rho_idx]))
+            keep_z.append(z.copy())
 
         if it == config.burn_in - 1:
             # reset counters so reported rates cover the post-burn-in phase
-            z_acc[:] = 0
-            beta_acc = 0
-            sigma_acc = 0
-            ridge_acc = 0
-            scale_acc = 0
+            z_first = ridge_acc = scale_acc = 0
 
     beta_draws = np.array(keep_beta)
     sigma_draws = np.array(keep_sigma)
@@ -404,9 +391,9 @@ def fit_model2(y, n, dm, prior: PriorSpec, nu=1.0, config: McmcConfig | None = N
     z_draws = np.array(keep_z)
     denom = max(1, config.n_iter - config.burn_in)
     acceptance = {
-        "z": float(z_acc.sum() / (denom * m)),
-        "beta": beta_acc / denom,
-        "sigma": sigma_acc / denom,
+        "z": z_first / denom,  # slice updates accepted on their first proposal
+        "beta": 1.0,  # exact draws
+        "sigma": 1.0,
         "ridge": ridge_acc / denom,
         "scale": scale_acc / denom,
     }

@@ -176,3 +176,11 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_adjusted_study_refuses_the_classical_mode(region_files, capsys):
+    geo, pop, cas = region_files
+    code = main(["--set", "mode=classical", "adjusted-study", "--geo", geo, "--pop", pop,
+                 "--cas", cas, "--replicates", "2", "--mc-size", "19"])
+    assert code == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err

@@ -154,6 +154,55 @@ def test_fitted_replicate_with_too_few_clean_regions_is_dropped():
     assert len(table.pvalues[(1.0, 20.0, "adjusted_fitted")]) + dropped == 4
 
 
+
+def _fitted_study_with_fit(monkeypatch, fake_fit):
+    import corrscan.harness as harness
+
+    calls = []
+
+    def fit(*args, **kwargs):
+        calls.append(1)
+        return fake_fit(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_model2", fit)
+    sr = synth_geometry(16, seed=6)
+    table = adjusted_study(sr, _cfg(mode="adjusted_fitted", replicates=3, beta=-5.0,
+                                    rho_upper=10))
+    return table, len(calls)
+
+
+def test_study_counts_a_chain_divergence_under_its_cause(monkeypatch):
+    from corrscan.mcmc import ChainDivergenceError
+
+    def diverge(*args, **kwargs):
+        raise ChainDivergenceError("sigma ran away")
+
+    table, fits = _fitted_study_with_fit(monkeypatch, diverge)
+    assert fits >= 1
+    row = table.rows[0]
+    assert row["dropped_by"]["ChainDivergenceError"] == fits
+    assert row["dropped"] == sum(row["dropped_by"].values()) == 3
+    assert table.to_csv().splitlines()[0] == (
+        "sigma,rho,alpha,mode,proportion,se,replicates,dropped")
+
+
+def test_study_propagates_an_unnamed_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a sampler bug")
+
+    with pytest.raises(ValueError, match="a sampler bug"):
+        _fitted_study_with_fit(monkeypatch, broken)
+
+
+def test_too_few_clean_regions_is_counted_under_its_cause():
+    sr = synth_geometry(5, seed=4)
+    cfg = _cfg(mode="adjusted_fitted", sigma_grid=(1.0,), beta=-3.0, replicates=4,
+               rho_upper=10)
+    row = adjusted_study(sr, cfg).rows[0]
+    assert row["dropped_by"].get("TooFewRegionsError", 0) >= 1
+    assert sum(row["dropped_by"].values()) == row["dropped"]
+
+
 # ------------------------------------------------------------- surveillance
 
 def _multi_period_region(n_periods, seed=0, cases=600, m=10, hot_period=None):

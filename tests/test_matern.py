@@ -121,6 +121,14 @@ def test_cholesky_indefinite_raises():
     assert exc.value.minor_index >= 1
 
 
+
+def test_cholesky_reports_the_failing_leading_minor():
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # first minor 1, second -3
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        cholesky(bad)
+    assert exc.value.minor_index == 2
+
+
 # --------------------------------------------------------------- simulate_grf
 
 def test_grf_deterministic():

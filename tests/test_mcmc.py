@@ -204,3 +204,94 @@ def test_posterior_means_two_draw_average():
     )
     b, s, r, r_grid = posterior_means(fit)
     assert (b, s, r, r_grid) == (-2.0, 1.5, 4.0, 4.0)
+
+
+# ------------------------------------------------------- sampler kernels vs oracles
+
+@pytest.mark.parametrize("m", [6, 32])
+def test_packed_quad_forms_match_dense(m):
+    _, _, dm = _toy_data(seed=20 + m, m=m)
+    fac = RhoGridFactors(dm, PriorSpec(12), nu=1.0)
+    z = np.random.default_rng(m).normal(0, 0.4, m)
+    dense = fac.inv @ z @ z
+    assert np.allclose(fac.quad_forms(z), dense, rtol=1e-12, atol=0)
+
+
+def test_inverse_cdf_index_draw_matches_choice():
+    from corrscan.mcmc import _draw_index
+
+    w = np.exp(-0.5 * np.random.default_rng(0).uniform(0, 30, 70))
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    drawn = [_draw_index(w, a) for _ in range(10_000)]
+    chosen = [int(b.choice(len(w), p=w / w.sum())) for _ in range(10_000)]
+    assert drawn == chosen
+
+
+def test_elliptical_slice_leaves_prior_invariant_under_flat_likelihood():
+    from corrscan.mcmc import elliptical_slice
+
+    _, _, dm = _toy_data(seed=21, m=5)
+    sigma = 0.7
+    cov = sigma**2 * build_cov(dm, MaternParams(1.0, 15.0, 1.0))
+    L = cholesky(cov).L
+    rng = np.random.default_rng(3)
+    z = np.zeros(5)
+    draws = np.empty((40_000, 5))
+    for k in range(len(draws)):
+        z, ll, shrinks = elliptical_slice(z, L @ rng.standard_normal(5), lambda v: 0.0, 0.0, rng)
+        assert shrinks == 0 and ll == 0.0
+        draws[k] = z
+    assert np.max(np.abs(draws.mean(axis=0))) < 0.05
+    assert np.max(np.abs(np.cov(draws, rowvar=False) - cov)) < 0.05 * sigma**2
+    # whitened draws are normal, not a scale mixture: no excess kurtosis
+    w = np.linalg.solve(L, draws.T)
+    assert np.max(np.abs(np.mean(w**4, axis=1) / np.mean(w**2, axis=1) ** 2 - 3.0)) < 0.15
+
+
+def test_elliptical_slice_keeps_state_when_nothing_clears_the_slice():
+    from corrscan.mcmc import elliptical_slice
+
+    z = np.array([0.1, -0.2, 0.3])
+    calls = []
+
+    def loglik(v):
+        calls.append(v)
+        return np.nan if len(calls) % 2 else -np.inf
+
+    out, ll, shrinks = elliptical_slice(z, np.ones(3), loglik, -1.0,
+                                        np.random.default_rng(0), max_steps=100)
+    assert out is z and ll == -1.0 and shrinks == 100 and len(calls) == 100
+
+
+def test_exact_intercept_and_scale_draws_match_their_conditionals():
+    from corrscan.mcmc import _gibbs_intercept, _gibbs_sigma
+
+    rng = np.random.default_rng(7)
+    sum_y, s_pop = 23.0, 4_100.0
+    beta = np.array([_gibbs_intercept(sum_y, s_pop, rng) for _ in range(40_000)])
+    assert np.mean(np.exp(beta)) == pytest.approx(sum_y / s_pop, rel=0.01)
+    # oracle: the mean of beta under exp(sum_y*beta - e^beta*s_pop), flat prior
+    grid = np.linspace(-9.0, -4.0, 20_001)
+    logp = sum_y * grid - np.exp(grid) * s_pop
+    w = np.exp(logp - logp.max())
+    assert beta.mean() == pytest.approx(np.sum(grid * w) / np.sum(w), abs=0.005)
+
+    m, quad = 12, 0.8
+    sigma = np.array([_gibbs_sigma(quad, m, rng) for _ in range(40_000)])
+    assert np.mean(sigma**-2) == pytest.approx((m - 1) / quad, rel=0.02)
+    # oracle: the mean of sigma under sigma^-m exp(-quad / (2 sigma^2)), flat prior
+    grid = np.linspace(0.05, 3.0, 20_001)
+    logp = -m * np.log(grid) - 0.5 * quad / grid**2
+    w = np.exp(logp - logp.max())
+    assert sigma.mean() == pytest.approx(np.sum(grid * w) / np.sum(w), rel=0.01)
+
+
+def test_fit_input_errors_are_typed():
+    from corrscan.mcmc import TooFewRegionsError, ZeroCountsError
+
+    y, n, dm = _toy_data(seed=7, m=4)
+    with pytest.raises(TooFewRegionsError):
+        fit_model2(y, n, dm, PriorSpec(10), config=FAST, seed=0)
+    y, n, dm = _toy_data(seed=8, m=6)
+    with pytest.raises(ZeroCountsError):
+        fit_model2(np.zeros(6), n, dm, PriorSpec(10), config=FAST, seed=0)
