@@ -30,7 +30,6 @@ __all__ = [
     "ZeroCountsError",
     "RhoGridFactors",
     "log_posterior",
-    "elliptical_slice",
     "fit_model2",
     "posterior_means",
     "effective_sample_size",
@@ -85,17 +84,19 @@ class ZeroCountsError(ValueError):
 class RhoGridFactors:
     """Per-grid-point correlation-matrix Cholesky factors, inverses and log-dets.
 
-    ``packed`` holds the upper triangle of each inverse with off-diagonal
-    entries doubled, so :meth:`quad_forms` reads half of ``inv``."""
+    Each R^{-1} is kept as its upper triangle with off-diagonal entries doubled
+    (``packed``, read by :meth:`quad_forms`) and as R^{-1} 1 (``rinv_one``)."""
 
     def __init__(self, dm, prior: PriorSpec, nu: float):
         dm = np.asarray(dm, dtype=float)
         m = dm.shape[0]
         grid = prior.rho_grid
         self.grid = grid
-        self.nu = nu
+        self.triu = i, j = np.triu_indices(m)
+        double = np.where(i == j, 1.0, 2.0)
         self.logdet = np.empty(len(grid))
-        self.inv = np.empty((len(grid), m, m))
+        self.packed = np.empty((len(grid), len(i)))
+        self.rinv_one = np.empty((len(grid), m))
         self.chol = []
         eye = np.eye(m)
         for g, rho in enumerate(grid):
@@ -105,10 +106,14 @@ class RhoGridFactors:
             self.chol.append(fac)
             self.logdet[g] = 2.0 * np.log(np.diag(L)).sum()
             linv = np.linalg.solve(L, eye)
-            self.inv[g] = linv.T @ linv
-        self.triu = np.triu_indices(m)
-        self.packed = self.inv[:, self.triu[0], self.triu[1]]
-        self.packed *= np.where(self.triu[0] == self.triu[1], 1.0, 2.0)
+            inv = linv.T @ linv
+            self.packed[g] = inv[i, j] * double
+            self.rinv_one[g] = inv.sum(axis=1)
+
+    @property
+    def inv(self):
+        """The full inverses R^{-1}, shape (n_grid, m, m), recomputed from ``chol``."""
+        return np.linalg.inv([c.L @ c.L.T for c in self.chol])
 
     def quad_forms(self, z):
         """z' R^{-1} z at every grid point, shape (n_grid,)."""
@@ -227,16 +232,19 @@ def effective_sample_size(x):
     return float(n / max(1.0, 1.0 + 2.0 * s))
 
 
-def elliptical_slice(z, prior_draw, loglik, current, rng, max_steps=100):
+_MAX_SHRINKS = 100
+
+
+def elliptical_slice(z, prior_draw, loglik, current, rng):
     """One elliptical slice update (Murray, Adams & MacKay 2010) of ``z`` under
     a zero-mean Gaussian prior, given a fresh ``prior_draw`` from it and
     ``current = loglik(z)``; a NaN or -inf log-likelihood never clears the
-    slice.  Returns ``(z, loglik, shrinks)``; after ``max_steps`` shrinks the
-    state is kept, so rounding cannot make the loop spin forever."""
+    slice.  Returns ``(z, loglik, shrinks)``; after ``_MAX_SHRINKS`` shrinks
+    the state is kept, so rounding cannot make the loop spin forever."""
     log_slice = current + math.log(rng.random())
     theta = 2.0 * math.pi * rng.random()
     lo, hi = theta - 2.0 * math.pi, theta
-    for step in range(max_steps):
+    for step in range(_MAX_SHRINKS):
         zp = z * math.cos(theta) + prior_draw * math.sin(theta)
         ll = loglik(zp)
         if ll > log_slice:
@@ -246,7 +254,7 @@ def elliptical_slice(z, prior_draw, loglik, current, rng, max_steps=100):
         else:
             hi = theta
         theta = rng.uniform(lo, hi)
-    return z, current, max_steps
+    return z, current, _MAX_SHRINKS
 
 
 def _draw_index(weights, rng):
@@ -283,7 +291,7 @@ def fit_model2(y, n, dm, prior: PriorSpec, nu=1.0, config: McmcConfig | None = N
     rng = np.random.default_rng(seed)
     fac = rho_factors or RhoGridFactors(dm, prior, nu)
     grid = fac.grid
-    rinv_total = fac.inv.sum(axis=(1, 2))  # 1' R^{-1} 1 per grid point
+    rinv_total = fac.rinv_one.sum(axis=1)  # 1' R^{-1} 1 per grid point
 
     # state
     beta = math.log(sum_y / n.sum())
@@ -320,19 +328,17 @@ def fit_model2(y, n, dm, prior: PriorSpec, nu=1.0, config: McmcConfig | None = N
         # ridge move: shift beta up and the whole field down by the same
         # amount; the Poisson likelihood is invariant, only the Gaussian
         # prior changes, which decorrelates beta from the field level
-        qz = fac.inv[rho_idx] @ z
-        quad = float(z @ qz)
         delta = ridge_scale * rng.standard_normal()
-        dquad = delta * delta * rinv_total[rho_idx] - 2.0 * delta * float(qz.sum())
+        dquad = delta * delta * rinv_total[rho_idx] - 2.0 * delta * float(fac.rinv_one[rho_idx] @ z)
         if math.log(rng.random()) < -0.5 * dquad / (sigma * sigma):
             beta += delta
             z = z - delta
-            quad += dquad
             s_pop = float(n @ np.exp(z))
             ridge_acc += 1
 
-        if quad > 0.0:  # 0 only before z has first moved
-            sigma = _gibbs_sigma(quad, m, rng)
+        quads = fac.quad_forms(z)  # z' R^{-1} z at every grid point
+        if quads[rho_idx] > 0.0:  # 0 only before z has first moved
+            sigma = _gibbs_sigma(quads[rho_idx], m, rng)
 
         # scaling move: inflate or deflate sigma and the whole field together;
         # the Gaussian prior term quad/sigma^2 is invariant, so the move walks
@@ -346,10 +352,11 @@ def fit_model2(y, n, dm, prior: PriorSpec, nu=1.0, config: McmcConfig | None = N
         if math.isfinite(dpois) and math.log(rng.random()) < dpois + delta:
             z = zs
             sigma *= g
+            quads *= g * g
             scale_acc += 1
 
         # rho: exact Gibbs over the grid
-        logp = -0.5 * fac.quad_forms(z) / (sigma * sigma) - 0.5 * fac.logdet
+        logp = -0.5 * quads / (sigma * sigma) - 0.5 * fac.logdet
         rho_idx = _draw_index(np.exp(logp - logp.max()), rng)
 
         # divergence diagnostic on sigma

@@ -213,8 +213,8 @@ def test_packed_quad_forms_match_dense(m):
     _, _, dm = _toy_data(seed=20 + m, m=m)
     fac = RhoGridFactors(dm, PriorSpec(12), nu=1.0)
     z = np.random.default_rng(m).normal(0, 0.4, m)
-    dense = fac.inv @ z @ z
-    assert np.allclose(fac.quad_forms(z), dense, rtol=1e-12, atol=0)
+    assert np.allclose(fac.quad_forms(z), fac.inv @ z @ z, rtol=1e-12, atol=0)
+    assert np.allclose(fac.rinv_one, fac.inv.sum(axis=2), rtol=1e-9, atol=0)
 
 
 def test_inverse_cdf_index_draw_matches_choice():
@@ -225,6 +225,25 @@ def test_inverse_cdf_index_draw_matches_choice():
     drawn = [_draw_index(w, a) for _ in range(10_000)]
     chosen = [int(b.choice(len(w), p=w / w.sum())) for _ in range(10_000)]
     assert drawn == chosen
+
+
+def test_rho_draw_weights_are_the_exact_conditional_of_the_current_state(monkeypatch):
+    import corrscan.mcmc as mcmc
+
+    y, n, dm = _toy_data(seed=9, m=8)
+    prior = PriorSpec(12)
+    fac = RhoGridFactors(dm, prior, nu=1.0)
+    weights = []
+    draw = mcmc._draw_index
+    monkeypatch.setattr(mcmc, "_draw_index", lambda w, rng: weights.append(w) or draw(w, rng))
+    fit = fit_model2(y, n, dm, prior, config=McmcConfig(n_iter=60, burn_in=10, thin=1),
+                     seed=3, rho_factors=fac)
+    assert fit.acceptance["scale"] > 0  # the rescaled forms are exercised
+    inv = fac.inv
+    for w, z, sigma in zip(weights[10:], fit.z, fit.sigma, strict=True):
+        logp = -0.5 * (inv @ z @ z) / sigma**2 - 0.5 * fac.logdet
+        expect = np.exp(logp - logp.max())
+        assert np.allclose(w / w.sum(), expect / expect.sum(), rtol=1e-9, atol=1e-15)
 
 
 def test_elliptical_slice_leaves_prior_invariant_under_flat_likelihood():
@@ -249,7 +268,7 @@ def test_elliptical_slice_leaves_prior_invariant_under_flat_likelihood():
 
 
 def test_elliptical_slice_keeps_state_when_nothing_clears_the_slice():
-    from corrscan.mcmc import elliptical_slice
+    from corrscan.mcmc import _MAX_SHRINKS, elliptical_slice
 
     z = np.array([0.1, -0.2, 0.3])
     calls = []
@@ -258,9 +277,8 @@ def test_elliptical_slice_keeps_state_when_nothing_clears_the_slice():
         calls.append(v)
         return np.nan if len(calls) % 2 else -np.inf
 
-    out, ll, shrinks = elliptical_slice(z, np.ones(3), loglik, -1.0,
-                                        np.random.default_rng(0), max_steps=100)
-    assert out is z and ll == -1.0 and shrinks == 100 and len(calls) == 100
+    out, ll, shrinks = elliptical_slice(z, np.ones(3), loglik, -1.0, np.random.default_rng(0))
+    assert out is z and ll == -1.0 and shrinks == _MAX_SHRINKS and len(calls) == _MAX_SHRINKS
 
 
 def test_exact_intercept_and_scale_draws_match_their_conditionals():
