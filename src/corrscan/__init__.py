@@ -8,9 +8,9 @@ from .region import (
     enumerate_windows,
     load_study_region,
 )
-from .scan import ScanResult, log_lr, mc_pvalue, scan, simulate_null_model1
-from .matern import CovFactor, MaternParams, build_cov, cholesky, matern_cov, simulate_grf
-from .mcmc import McmcConfig, ModelIIFit, PriorSpec, fit_model2, log_posterior, posterior_means
+from .scan import ScanResult, log_lr, mc_pvalue, scan
+from .matern import CovFactor, MaternParams, cholesky, matern_cov, simulate_grf
+from .mcmc import McmcConfig, ModelIIFit, PriorSpec, fit_model2, posterior_means
 from .adjusted import (
     AdjustedScanConfig,
     AdjustedScanResult,

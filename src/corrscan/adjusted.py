@@ -4,13 +4,12 @@ set of significant clusters stabilizes."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matern import MaternParams, CovFactor, build_cov, cholesky, simulate_grf
+from .matern import MaternParams, CovFactor, cholesky, matern_cov, simulate_grf
 from .mcmc import McmcConfig, PriorSpec, TooFewRegionsError, fit_model2, posterior_means
 from .region import InputError, StudyRegion, WindowSet
 from .scan import llr_star_batch, mc_pvalue, model1_simulator, rank_pvalue, scan
@@ -20,7 +19,6 @@ __all__ = [
     "AdjustedScanResult",
     "simulate_model2_counts",
     "recentered_intercept",
-    "model2_simulator",
     "adjusted_scan",
     "train_test_adjusted_scan",
 ]
@@ -55,16 +53,6 @@ def recentered_intercept(y_g_obs, populations, cov_diag):
     n = np.asarray(populations, dtype=float)
     d = np.broadcast_to(np.asarray(cov_diag, dtype=float), n.shape)
     return math.log(y_g_obs / float(np.sum(n * np.exp(d / 2.0))))
-
-
-def model2_simulator(populations, beta, factor: CovFactor, region_ids=None):
-    """Batch simulator closure compatible with :func:`corrscan.scan.mc_pvalue`."""
-
-    def simulate(rng, size):
-        return simulate_model2_counts(populations, beta, factor, rng, size=size,
-                                      region_ids=region_ids)
-
-    return simulate
 
 
 @dataclass(frozen=True)
@@ -106,9 +94,6 @@ class AdjustedScanResult:
             ],
         }
 
-    def to_json(self, sr=None, **kwargs):
-        return json.dumps(self.to_dict(sr), **kwargs)
-
 
 def _clusters_of(result):
     """Primary plus secondaries as (cluster, llr) pairs, highest llr first."""
@@ -147,7 +132,7 @@ def _fitted_reference(dm, sigma, rho, nu):
     intercept so the expected total is ``y_g``, draws M datasets and returns
     their max statistics with the simulation parameters."""
     params = MaternParams(sigma=max(sigma, 1e-8), rho=rho, nu=nu)
-    cov = build_cov(dm, params)
+    cov = matern_cov(dm, params)
     factor = cholesky(cov)
     diag = np.diag(cov)
 

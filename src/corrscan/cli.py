@@ -26,7 +26,8 @@ from .harness import (
     write_run,
 )
 from .matern import NotPositiveDefiniteError
-from .mcmc import ChainDivergenceError, McmcConfig, PriorSpec, fit_model2
+from .mcmc import (ChainDivergenceError, McmcConfig, PriorSpec, TooFewRegionsError,
+                   ZeroCountsError, fit_model2)
 from .region import InputError, distance_matrix, enumerate_windows, load_study_region
 from .scan import mc_pvalue, scan
 
@@ -132,6 +133,7 @@ def cmd_surveil(args, cfg):
 
 
 def _experiment_config(args, cfg, mode):
+    chain = {"mcmc": _mcmc_config(cfg)} if "mcmc" in cfg else {}
     return ExperimentConfig(
         beta=cfg.get("beta", args.beta),
         sigma_grid=tuple(cfg.get("sigma_grid", [args.sigma])),
@@ -142,7 +144,7 @@ def _experiment_config(args, cfg, mode):
         mode=mode,
         seed=args.seed or 0,
         rho_upper=args.rho_upper,
-        mcmc=_mcmc_config(cfg) if "mcmc" in cfg else ExperimentConfig.__dataclass_fields__["mcmc"].default_factory(),
+        **chain,
     )
 
 
@@ -241,15 +243,17 @@ def cmd_synth_geo(args, cfg):
     sr = synth_geometry(args.m, seed=args.seed or 0,
                         pop_log_mean=cfg.get("pop_log_mean", 10.0),
                         pop_log_sd=cfg.get("pop_log_sd", 1.0))
-    lines = [f"# synthetic geometry m={args.m} seed={args.seed or 0}"]
-    for rid, (x, y), pop in zip(sr.ids, sr.centroids, sr.populations[0]):
-        lines.append(f"{rid} {x:.4f} {y:.4f} {pop:.2f}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    header = [f"# synthetic geometry m={args.m} seed={args.seed or 0}"]
+    geo = [f"{rid} {x:.4f} {y:.4f}" for rid, (x, y) in zip(sr.ids, sr.centroids)]
+    pops = [f"{pop:.2f}" for pop in sr.populations[0]]
+    if not args.out:
+        print("\n".join(header + [f"{g} {p}" for g, p in zip(geo, pops)]))
+        return EXIT_OK
+    # the geometry and population files that --geo and --pop read
+    for path, lines in ((args.out, geo),
+                        (args.out + ".pop", [f"{rid} {p}" for rid, p in zip(sr.ids, pops)])):
+        with open(path, "w") as fh:
+            fh.write("\n".join(header + lines) + "\n")
     return EXIT_OK
 
 
@@ -323,7 +327,9 @@ def build_parser():
 
     p = sub.add_parser("synth-geo", help="generate a synthetic study geometry")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None,
+                   help="write 'id x y' here and 'id population' to OUT.pop "
+                        "(default: 'id x y population' lines on stdout)")
     p.set_defaults(func=cmd_synth_geo)
     return parser
 
@@ -334,7 +340,8 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         return args.func(args, cfg)
-    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, FileNotFoundError, json.JSONDecodeError, ZeroCountsError,
+            TooFewRegionsError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NotPositiveDefiniteError, ChainDivergenceError, OverflowError,

@@ -23,7 +23,7 @@ from .adjusted import (
     train_test_adjusted_scan,
 )
 from .fdr import fit_fdr_model, nudge_boundary_p, p_to_z
-from .matern import MaternParams, NotPositiveDefiniteError, build_cov, cholesky
+from .matern import MaternParams, NotPositiveDefiniteError, cholesky, matern_cov
 from .mcmc import (ChainDivergenceError, McmcConfig, PriorSpec, TooFewRegionsError,
                    ZeroCountsError, fit_model2)
 from .region import InputError, StudyRegion, distance_matrix, enumerate_windows
@@ -165,7 +165,7 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
         for rho in cfg.rho_grid:
             factor = None
             if sigma > 0 and rho > 0:
-                factor = cholesky(build_cov(dm, MaternParams(sigma=sigma, rho=rho, nu=cfg.nu)))
+                factor = cholesky(matern_cov(dm, MaternParams(sigma=sigma, rho=rho, nu=cfg.nu)))
             pvals = []
             dropped_by = Counter()
             streams = master.spawn(cfg.replicates)

@@ -1,4 +1,4 @@
-"""Matérn covariance, covariance assembly, Cholesky factors and GRF simulation."""
+"""Matérn covariance, Cholesky factors and GRF simulation."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ __all__ = [
     "CovFactor",
     "NotPositiveDefiniteError",
     "matern_cov",
-    "build_cov",
     "cholesky",
     "simulate_grf",
 ]
@@ -47,29 +46,21 @@ class NotPositiveDefiniteError(LinAlgError):
         )
 
 
-def matern_cov(d, p: MaternParams, scaled_range_form: bool = False):
-    """Matérn covariance at distance(s) d >= 0.
+def matern_cov(d, p: MaternParams):
+    """Matérn covariance at distance(s) d >= 0, elementwise over an array.
 
     Standard form: sigma^2 / (2^(nu-1) Gamma(nu)) * (d/rho)^nu * K_nu(d/rho),
-    with value sigma^2 at d = 0.  ``scaled_range_form`` inserts a nu^(1/2)
-    factor inside the power term only (sensitivity variant; identical at
-    nu = 1).
+    with value sigma^2 at d = 0.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("distances must be nonnegative")
     u = d / p.rho
     scale = p.sigma**2 / (2 ** (p.nu - 1) * _gamma(p.nu))
-    power = (np.sqrt(p.nu) * u) if scaled_range_form else u
     with np.errstate(invalid="ignore"):
-        c = scale * power**p.nu * _kv(p.nu, u)
+        c = scale * u**p.nu * _kv(p.nu, u)
     c = np.where(d == 0, p.sigma**2, c)
     return float(c) if c.ndim == 0 else c
-
-
-def build_cov(dm, p: MaternParams, scaled_range_form: bool = False) -> np.ndarray:
-    """Covariance matrix over a distance matrix."""
-    return matern_cov(np.asarray(dm, dtype=float), p, scaled_range_form)
 
 
 @dataclass(frozen=True)
@@ -78,10 +69,6 @@ class CovFactor:
 
     L: np.ndarray
     jitter: float
-
-    @property
-    def dimension(self):
-        return self.L.shape[0]
 
 
 def cholesky(sigma_mat, jitter_scale=None) -> CovFactor:
@@ -110,6 +97,6 @@ def cholesky(sigma_mat, jitter_scale=None) -> CovFactor:
 def simulate_grf(factor: CovFactor, seed=None, size=1):
     """Draw Z = L eps with eps i.i.d. standard normal; (size, m) or (m,)."""
     rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((size, factor.dimension))
+    eps = rng.standard_normal((size, factor.L.shape[0]))
     z = eps @ factor.L.T
     return z[0] if size == 1 else z

@@ -12,7 +12,6 @@ adaptive joint moves that shift and scale the field against beta and sigma.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ __all__ = [
     "TooFewRegionsError",
     "ZeroCountsError",
     "RhoGridFactors",
-    "log_posterior",
     "fit_model2",
     "posterior_means",
     "effective_sample_size",
@@ -110,39 +108,10 @@ class RhoGridFactors:
             self.packed[g] = inv[i, j] * double
             self.rinv_one[g] = inv.sum(axis=1)
 
-    @property
-    def inv(self):
-        """The full inverses R^{-1}, shape (n_grid, m, m), recomputed from ``chol``."""
-        return np.linalg.inv([c.L @ c.L.T for c in self.chol])
-
     def quad_forms(self, z):
         """z' R^{-1} z at every grid point, shape (n_grid,)."""
         i, j = self.triu
         return self.packed @ (z[i] * z[j])
-
-
-def log_posterior(beta, sigma, rho, z, y, n, dm, nu=1.0, prior: PriorSpec | None = None):
-    """Unnormalized log posterior; -inf (reject state) on numerical overflow."""
-    y = np.asarray(y, dtype=float)
-    n = np.asarray(n, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if sigma <= 0:
-        return -np.inf
-    if prior is not None and not (1 <= rho <= prior.rho_upper):
-        return -np.inf
-    with np.errstate(over="ignore"):
-        rates = n * np.exp(beta + z)
-    if not np.all(np.isfinite(rates)):
-        return -np.inf
-    pois = float(np.sum(y * (beta + np.log(n) + z) - rates))
-    r = matern_cov(np.asarray(dm, dtype=float), MaternParams(sigma=1.0, rho=float(rho), nu=nu))
-    fac = cholesky(r, jitter_scale=1.0)
-    w = np.linalg.solve(fac.L, z)
-    quad = float(w @ w)
-    logdet_r = 2.0 * float(np.log(np.diag(fac.L)).sum())
-    m = len(z)
-    gauss = -0.5 * quad / sigma**2 - 0.5 * (logdet_r + m * math.log(sigma**2))
-    return pois + gauss  # flat/uniform priors contribute constants only
 
 
 @dataclass(frozen=True)
@@ -208,9 +177,6 @@ class ModelIIFit:
                 "quantiles": {str(q): float(np.quantile(draws, q)) for q in qs},
             }
         return out
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.summary(), **kwargs)
 
 
 def effective_sample_size(x):

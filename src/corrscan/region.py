@@ -115,19 +115,6 @@ class StudyRegion:
     def total_cases(self, period=None):
         return int(self.period_cases(period).sum())
 
-    def total_population(self, period=None):
-        return float(self.period_populations(period).sum())
-
-    def restrict(self, keep):
-        """Sub-region with only the given region indices (sorted)."""
-        keep = sorted(set(int(i) for i in keep))
-        return StudyRegion(
-            ids=tuple(self.ids[i] for i in keep),
-            centroids=self.centroids[keep],
-            periods=self.periods,
-            populations=self.populations[:, keep],
-            cases=self.cases[:, keep],
-        )
 
 
 def load_study_region(geo_file, pop_file, cas_file):
@@ -284,17 +271,8 @@ class WindowSet:
         return block.reshape(self.order.size, len(values))[last]
 
     def aggregate(self, values):
-        """Per-window sums of a length-m vector (or (k, m) batch).
-
-        A batch is summed ``chunk_rows`` rows at a time, so no (k, m, m) or
-        (windows, m) array is allocated.
-        """
-        values = np.asarray(values)
-        if values.ndim == 1:
-            return self.window_sums(values[None, :])[:, 0]
-        step = self.chunk_rows
-        return np.concatenate([self.window_sums(values[s:s + step])
-                               for s in range(0, max(len(values), 1), step)], axis=1).T
+        """Per-window sums of a length-m vector."""
+        return self.window_sums(np.asarray(values)[None, :])[:, 0]
 
 
 def enumerate_windows(sr: StudyRegion, dm: np.ndarray, max_fraction: float = 0.5) -> WindowSet:

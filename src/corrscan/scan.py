@@ -7,7 +7,6 @@ inside rate is the higher one.  All work is in log space.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ __all__ = [
     "log_lr",
     "log_lr_vector",
     "scan",
-    "simulate_null_model1",
     "model1_simulator",
     "llr_star_batch",
     "rank_pvalue",
@@ -116,9 +114,6 @@ class ScanResult:
             else cluster_dict(self.primary, self.primary_llr, self.primary_y, self.primary_n),
             "secondaries": [cluster_dict(c, llr, y, n) for c, llr, y, n in self.secondaries],
         }
-
-    def to_json(self, sr=None, **kwargs):
-        return json.dumps(self.to_dict(sr), **kwargs)
 
 
 def _as_counts(counts, m):
@@ -254,12 +249,6 @@ def model1_simulator(sr: StudyRegion, period=None, total=None):
     return simulate
 
 
-def simulate_null_model1(sr: StudyRegion, period=None, seed=None, size=1):
-    """Multinomial redistribution of the observed total, conditional on Y_G."""
-    counts = model1_simulator(sr, period)(np.random.default_rng(seed), size)
-    return counts[0] if size == 1 else counts
-
-
 def llr_star_batch(counts, populations, windows: WindowSet):
     """Max statistic for each row of a (k, m) count matrix.
 
@@ -283,12 +272,11 @@ def rank_pvalue(observed, reference):
 
 
 def mc_pvalue(observed_llr, sr: StudyRegion, windows: WindowSet, M=999,
-              null_simulator=None, seed=None, period=None):
-    """Rank-based Monte Carlo p-value r/(M+1) against a pluggable null
-    (default: :func:`model1_simulator` for ``period``)."""
+              seed=None, period=None):
+    """Rank-based Monte Carlo p-value r/(M+1) against the conditional Model I
+    null of :func:`model1_simulator` for ``period``."""
     if M < 1:
         raise InputError(f"Monte Carlo size M must be >= 1, got {M}")
-    simulate = model1_simulator(sr, period) if null_simulator is None else null_simulator
-    sims = llr_star_batch(simulate(np.random.default_rng(seed), M),
+    sims = llr_star_batch(model1_simulator(sr, period)(np.random.default_rng(seed), M),
                           sr.period_populations(period), windows)
     return rank_pvalue(observed_llr, sims)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .matern import cholesky
+from .matern import cholesky, simulate_grf
 
 __all__ = [
     "poisson_tail",
@@ -72,14 +72,30 @@ def mixture_tail(k, beta, populations, sigma_mat, method="monte_carlo",
         return float(w @ vals), 0.0
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
-    rng = np.random.default_rng(seed)
-    factor = cholesky(sig, jitter_scale=max(float(np.mean(np.diag(sig))), 1e-30))
-    z = rng.standard_normal((n_samples, len(n))) @ factor.L.T
-    lam = math.exp(beta) * (n[None, :] * np.exp(z)).sum(axis=1)
-    vals = gammainc(max(int(k), 1), lam) if k >= 1 else np.ones(n_samples)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    return est, se
+    return _mc_tail(k, _total_rates(beta, n, _field_draws(sig, n_samples, seed)))
+
+
+def _lambda_bar(beta, populations, sigma_mat):
+    """Mean total rate e^beta sum N_i e^{Sigma_ii / 2} of the lognormal mixture."""
+    return math.exp(beta) * float(np.sum(populations * np.exp(np.diag(sigma_mat) / 2.0)))
+
+
+def _field_draws(sigma_mat, n_samples, seed):
+    """``n_samples`` rows of draws of the latent field N(0, sigma_mat)."""
+    jitter_scale = max(float(np.mean(np.diag(sigma_mat))), 1e-30)
+    return np.atleast_2d(simulate_grf(cholesky(sigma_mat, jitter_scale), seed, n_samples))
+
+
+def _total_rates(beta, populations, z):
+    """Total Poisson rate e^beta sum N_i e^{z_i} for each row of field draws z."""
+    return math.exp(beta) * (populations[None, :] * np.exp(z)).sum(axis=1)
+
+
+def _mc_tail(k, lam):
+    """Monte Carlo mean of Pr(Poisson(lam) >= k) over the sampled rates, and its
+    standard error."""
+    vals = gammainc(max(int(k), 1), lam) if k >= 1 else np.ones(len(lam))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 def prop2_correction(k, lambda_bar, beta, v_n, n):
@@ -109,16 +125,6 @@ class TailSetup:
     n_samples: int = 400_000
     seed: object = None
 
-    @property
-    def pop_array(self):
-        return np.asarray(self.populations, dtype=float)
-
-    @property
-    def sigma_array(self):
-        return np.asarray(self.sigma_mat, dtype=float).reshape(
-            len(self.populations), len(self.populations)
-        )
-
 
 def verify_prop2(setup: TailSetup, n_grid=(100, 1000, 10_000)):
     """Remainder-vs-n report for the second-order tail expansion.
@@ -126,29 +132,22 @@ def verify_prop2(setup: TailSetup, n_grid=(100, 1000, 10_000)):
     Monte Carlo runs share one base normal sample across the n grid (common
     random numbers) so the remainder decay is not drowned by noise.
     """
-    pops = setup.pop_array
-    sig0 = setup.sigma_array
+    pops = np.asarray(setup.populations, dtype=float)
+    sig0 = np.asarray(setup.sigma_mat, dtype=float).reshape(len(pops), len(pops))
     v_n = float(pops @ sig0 @ pops)
-    rng = np.random.default_rng(setup.seed)
     base = None
     if setup.method == "monte_carlo":
-        factor = cholesky(sig0, jitter_scale=max(float(np.mean(np.diag(sig0))), 1e-30))
-        base = rng.standard_normal((setup.n_samples, len(pops))) @ factor.L.T
+        base = _field_draws(sig0, setup.n_samples, setup.seed)
 
     rows = []
     for n in n_grid:
         sig = sig0 / n
-        diag = np.diag(sig)
-        lam_bar = math.exp(setup.beta) * float(np.sum(pops * np.exp(diag / 2.0)))
+        lam_bar = _lambda_bar(setup.beta, pops, sig)
         p1 = poisson_tail(setup.k, lam_bar)
         if setup.method == "quadrature":
             p2, se = mixture_tail(setup.k, setup.beta, pops, sig, method="quadrature")
         else:
-            z = base / math.sqrt(n)
-            lam = math.exp(setup.beta) * (pops[None, :] * np.exp(z)).sum(axis=1)
-            vals = gammainc(max(setup.k, 1), lam) if setup.k >= 1 else np.ones(len(lam))
-            p2 = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
+            p2, se = _mc_tail(setup.k, _total_rates(setup.beta, pops, base / math.sqrt(n)))
         corr = prop2_correction(setup.k, lam_bar, setup.beta, v_n, n)
         remainder = abs(p2 - p1 - corr)
         if se > 0 and corr != 0 and se > abs(corr) / 10:
@@ -182,20 +181,12 @@ def heavier_tail_onset(beta, populations, sigma_mat, seed=None, n_samples=400_00
     """
     pops = np.atleast_1d(np.asarray(populations, dtype=float))
     sig = np.atleast_2d(np.asarray(sigma_mat, dtype=float))
-    diag = np.diag(sig)
-    lam_bar = math.exp(beta) * float(np.sum(pops * np.exp(diag / 2.0)))
+    lam_bar = _lambda_bar(beta, pops, sig)
     k_lo = max(2, int(math.floor(lam_bar)))
     k_hi = int(math.ceil(lam_bar + 10 * math.sqrt(lam_bar)))
-    rng = np.random.default_rng(seed)
-    factor = cholesky(sig, jitter_scale=max(float(np.mean(diag)), 1e-30))
-    z = rng.standard_normal((n_samples, len(pops))) @ factor.L.T
-    lam = math.exp(beta) * (pops[None, :] * np.exp(z)).sum(axis=1)
-    rows = []
-    for k in range(k_lo, k_hi + 1):
-        p1 = poisson_tail(k, lam_bar)
-        vals = gammainc(k, lam)
-        p2 = float(vals.mean())
-        rows.append({"k": k, "p1_tail": p1, "p2_tail": p2})
+    lam = _total_rates(beta, pops, _field_draws(sig, n_samples, seed))
+    rows = [{"k": k, "p1_tail": poisson_tail(k, lam_bar), "p2_tail": _mc_tail(k, lam)[0]}
+            for k in range(k_lo, k_hi + 1)]
     k_star = None
     for i, r in enumerate(rows):
         if all(s["p2_tail"] > s["p1_tail"] for s in rows[i:]):

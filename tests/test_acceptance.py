@@ -21,7 +21,6 @@ from scipy.stats import norm
 from corrscan import (
     MaternParams,
     PriorSpec,
-    build_cov,
     cholesky,
     distance_matrix,
     enumerate_windows,
@@ -29,6 +28,7 @@ from corrscan import (
     fit_empirical_null,
     fit_fdr_model,
     fit_model2,
+    matern_cov,
     mixture_tail,
     poisson_tail,
     prop2_correction,
@@ -155,7 +155,7 @@ def test_criterion_8_mixed_model_calibration(capsys):
     sr = synth_geometry(32, seed=7, pop_log_mean=3.0, pop_log_sd=0.6)
     dm = distance_matrix(sr)
     n = sr.populations[0]
-    factor = cholesky(build_cov(dm, MaternParams(sigma_t, rho_t, 1.0)))
+    factor = cholesky(matern_cov(dm, MaternParams(sigma_t, rho_t, 1.0)))
     prior = PriorSpec(70)
     from corrscan.mcmc import RhoGridFactors
     rho_factors = RhoGridFactors(dm, prior, 1.0)

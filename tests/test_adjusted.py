@@ -12,14 +12,14 @@ from corrscan import (
     PriorSpec,
     StudyRegion,
     adjusted_scan,
-    build_cov,
     cholesky,
     distance_matrix,
     enumerate_windows,
+    matern_cov,
     simulate_model2_counts,
     train_test_adjusted_scan,
 )
-from corrscan.adjusted import model2_simulator, recentered_intercept
+from corrscan.adjusted import recentered_intercept
 from corrscan.harness import synth_geometry
 from corrscan.mcmc import McmcConfig
 
@@ -27,7 +27,7 @@ FAST = McmcConfig(n_iter=1200, burn_in=400, thin=2)
 
 
 def _factor(dm, sigma, rho):
-    return cholesky(build_cov(dm, MaternParams(sigma, rho, 1.0)))
+    return cholesky(matern_cov(dm, MaternParams(sigma, rho, 1.0)))
 
 
 # ------------------------------------------------------- count simulation
@@ -77,14 +77,6 @@ def test_overflow_names_region():
                                region_ids=sr.ids)
 
 
-def test_model2_simulator_closure():
-    sr = synth_geometry(5, seed=7)
-    fac = _factor(distance_matrix(sr), 0.1, 5.0)
-    sim = model2_simulator(sr.populations[0], -6.0, fac)
-    out = sim(np.random.default_rng(0), 4)
-    assert out.shape == (4, 5)
-
-
 # ------------------------------------------------------------ re-centering
 
 def test_recentered_intercept_zero_field():
@@ -97,7 +89,7 @@ def test_recentered_intercept_matches_simulation():
     sr = synth_geometry(8, seed=8)
     dm = distance_matrix(sr)
     n = sr.populations[0]
-    cov = build_cov(dm, MaternParams(0.3, 15.0, 1.0))
+    cov = matern_cov(dm, MaternParams(0.3, 15.0, 1.0))
     fac = cholesky(cov)
     y_g = 2000
     beta = recentered_intercept(y_g, n, np.diag(cov))

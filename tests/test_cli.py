@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from corrscan import load_study_region, synth_geometry
 from corrscan.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser, main
 
 
@@ -96,13 +97,36 @@ def test_bad_config_json_is_input_error(region_files, tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("m, count, message", [
+    (8, 0, "all counts are zero"),
+    (4, 5, "at least 5 regions"),
+])
+def test_unfittable_data_is_an_input_error(tmp_path, capsys, m, count, message):
+    ids = [f"r{i}" for i in range(m)]
+    files = {"geo": "".join(f"{r} {i} {i % 3}\n" for i, r in enumerate(ids)),
+             "pop": "".join(f"{r} 1000\n" for r in ids),
+             "cas": "".join(f"{r} {count}\n" for r in ids)}
+    argv = ["fit"]
+    for key, text in files.items():
+        (tmp_path / key).write_text(text)
+        argv += [f"--{key}", str(tmp_path / key)]
+    assert main(argv) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_synth_geo_command(tmp_path, capsys):
+    # --out writes the geometry and population files that --geo and --pop read
     out = str(tmp_path / "geo.txt")
     code = main(["--seed", "4", "synth-geo", "--m", "6", "--out", out])
     assert code == EXIT_OK
-    lines = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
-    assert len(lines) == 6
-    assert all(len(ln.split()) == 4 for ln in lines)
+    cas = tmp_path / "cas.txt"
+    cas.write_text("")
+    sr = load_study_region(out, out + ".pop", str(cas))
+    want = synth_geometry(6, seed=4)
+    assert sr.ids == want.ids
+    assert np.max(np.abs(sr.centroids - want.centroids)) <= 5e-5  # written to 4 decimals
+    assert np.max(np.abs(sr.populations - want.populations)) <= 5e-3  # to 2 decimals
+    assert sr.total_cases() == 0
 
 
 def test_type1_study_command(tmp_path, capsys):

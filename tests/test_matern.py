@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
-from corrscan import MaternParams, build_cov, cholesky, matern_cov, simulate_grf
+from corrscan import MaternParams, cholesky, matern_cov, simulate_grf
 from corrscan.matern import JITTER_LADDER, NotPositiveDefiniteError
 
 mpmath = pytest.importorskip("mpmath")
@@ -45,16 +45,6 @@ def test_matches_arbitrary_precision_bessel():
                    / (mpmath.mpf(2) ** (nu - 1) * mpmath.gamma(nu))
                    * mpmath.mpf(u) ** nu * mpmath.besselk(nu, u))
             assert matern_cov(u, p) == pytest.approx(float(ref), rel=1e-10)
-
-
-def test_scaled_range_form():
-    p = MaternParams(sigma=1.0, rho=2.0, nu=1.0)
-    # identical at nu = 1
-    assert matern_cov(1.5, p, scaled_range_form=True) == matern_cov(1.5, p)
-    p2 = MaternParams(sigma=1.0, rho=2.0, nu=2.0)
-    a = matern_cov(1.5, p2, scaled_range_form=True)
-    b = matern_cov(1.5, p2)
-    assert a == pytest.approx(b * 2.0, rel=1e-12)  # (sqrt(2))^2 power factor
 
 
 def test_monotone_decreasing_in_distance():
@@ -100,7 +90,7 @@ def test_cholesky_reconstruction():
     pts = rng.uniform(0, 20, (12, 2))
     dm = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
     p = MaternParams(sigma=0.5, rho=5.0, nu=1.0)
-    cov = build_cov(dm, p)
+    cov = matern_cov(dm, p)
     fac = cholesky(cov)
     assert np.max(np.abs(fac.L @ fac.L.T - cov)) < 1e-8 * p.sigma**2
 
@@ -108,7 +98,7 @@ def test_cholesky_reconstruction():
 def test_cholesky_jitter_on_singular():
     # coincident sites give a singular covariance; the ladder must engage
     dm = np.zeros((2, 2))
-    cov = build_cov(dm, MaternParams(sigma=1.0, rho=1.0, nu=1.0))
+    cov = matern_cov(dm, MaternParams(sigma=1.0, rho=1.0, nu=1.0))
     fac = cholesky(cov)
     assert fac.jitter > 0.0
     assert fac.jitter in tuple(r * 1.0 for r in JITTER_LADDER)
@@ -132,8 +122,8 @@ def test_cholesky_reports_the_failing_leading_minor():
 # --------------------------------------------------------------- simulate_grf
 
 def test_grf_deterministic():
-    fac = cholesky(build_cov(np.array([[0.0, 1.0], [1.0, 0.0]]),
-                             MaternParams(1.0, 2.0)))
+    fac = cholesky(matern_cov(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                              MaternParams(1.0, 2.0)))
     a = simulate_grf(fac, seed=77)
     b = simulate_grf(fac, seed=77)
     assert np.array_equal(a, b)

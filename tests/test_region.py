@@ -24,7 +24,6 @@ def test_single_region_totals():
                      populations=[[100.0]], cases=[[3]])
     assert sr.m == 1
     assert sr.total_cases() == 3
-    assert sr.total_population() == 100.0
 
 
 def test_duplicate_ids_rejected():
@@ -64,13 +63,6 @@ def test_period_required_for_multiperiod():
     assert sr.total_cases("t1") == 2
     with pytest.raises(InputError, match="unknown period"):
         sr.period_cases("t9")
-
-
-def test_restrict_keeps_alignment(small_region):
-    sub = small_region.restrict([4, 1])
-    assert sub.ids == ("B", "E")
-    assert sub.populations[0].tolist() == [120.0, 90.0]
-    assert sub.cases[0].tolist() == [3, 2]
 
 
 # --------------------------------------------------------------- file loading

@@ -13,7 +13,6 @@ from corrscan.scan import (
     log_lr_vector,
     mc_pvalue,
     model1_simulator,
-    simulate_null_model1,
 )
 
 from conftest import brute_force_llr, brute_force_scan, random_region
@@ -143,21 +142,21 @@ def test_model1_single_region():
     from corrscan import StudyRegion
     sr = StudyRegion(ids=("A",), centroids=[[0, 0]], periods=("all",),
                      populations=[[5.0]], cases=[[7]])
-    assert simulate_null_model1(sr, seed=0).tolist() == [7]
+    assert model1_simulator(sr)(np.random.default_rng(0), 1).tolist() == [[7]]
 
 
 def test_model1_binomial_concentration():
     from corrscan import StudyRegion
     sr = StudyRegion(ids=("A", "B"), centroids=[[0, 0], [1, 0]], periods=("all",),
                      populations=[[50.0, 50.0]], cases=[[500_000, 500_000]])
-    draw = simulate_null_model1(sr, seed=42)
+    draw = model1_simulator(sr)(np.random.default_rng(42), 1)[0]
     n = 1_000_000
     sd = math.sqrt(n * 0.25)
     assert abs(draw[0] - n / 2) < 5 * sd
 
 
 def test_model1_multinomial_moments(small_region):
-    sims = simulate_null_model1(small_region, seed=3, size=100_000)
+    sims = model1_simulator(small_region)(np.random.default_rng(3), 100_000)
     n = small_region.populations[0]
     y_g = small_region.total_cases()
     expect = y_g * n / n.sum()
@@ -168,7 +167,7 @@ def test_model1_multinomial_moments(small_region):
 
 
 def test_model1_conditions_on_total(small_region):
-    sims = simulate_null_model1(small_region, seed=9, size=1000)
+    sims = model1_simulator(small_region)(np.random.default_rng(9), 1000)
     assert np.all(sims.sum(axis=1) == small_region.total_cases())
 
 
@@ -176,8 +175,7 @@ def test_model1_conditions_on_total(small_region):
 
 def test_llr_star_batch_matches_scan(small_region):
     ws = enumerate_windows(small_region, distance_matrix(small_region), 0.5)
-    rng = np.random.default_rng(1)
-    sims = simulate_null_model1(small_region, seed=1, size=50)
+    sims = model1_simulator(small_region)(np.random.default_rng(1), 50)
     batch = llr_star_batch(sims, small_region.populations[0], ws)
     for row, val in zip(sims, batch):
         assert scan(small_region, ws, counts=row).llr_star == pytest.approx(val, abs=1e-10)
@@ -220,19 +218,6 @@ def test_pvalue_rank_uniformity(small_region):
     counts, _ = np.histogram(pvals, bins=np.linspace(0, 1, 11))
     stat, p = chisquare(counts)
     assert p > 0.01
-
-
-def test_pvalue_custom_simulator(small_region):
-    ws = enumerate_windows(small_region, distance_matrix(small_region), 0.5)
-    n = small_region.populations[0]
-
-    def degenerate(rng, size):
-        # all simulations proportional to population -> llr_star 0 for them
-        base = np.round(n / n.sum() * 100).astype(int)
-        return np.tile(base, (size, 1))
-
-    p = mc_pvalue(0.5, small_region, ws, M=99, null_simulator=degenerate, seed=0)
-    assert p == 1 / 100
 
 
 def test_pvalue_invalid_m(small_region):
