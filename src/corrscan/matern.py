@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf
-from scipy.special import gamma as _gamma, kv as _kv
+from scipy.special import gamma as _gamma, k1 as _k1, kv as _kv
 
 __all__ = [
     "MaternParams",
@@ -58,7 +58,8 @@ def matern_cov(d, p: MaternParams):
     u = d / p.rho
     scale = p.sigma**2 / (2 ** (p.nu - 1) * _gamma(p.nu))
     with np.errstate(invalid="ignore"):
-        c = scale * u**p.nu * _kv(p.nu, u)
+        c = (scale * u * _k1(u) if p.nu == 1.0  # K_1 has a much faster routine than kv
+             else scale * u**p.nu * _kv(p.nu, u))
     c = np.where(d == 0, p.sigma**2, c)
     return float(c) if c.ndim == 0 else c
 

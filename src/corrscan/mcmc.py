@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, blas, lapack
 
 from .matern import MaternParams, cholesky, matern_cov
 from .region import InputError
@@ -82,8 +83,10 @@ class ZeroCountsError(ValueError):
 class RhoGridFactors:
     """Per-grid-point correlation-matrix Cholesky factors, inverses and log-dets.
 
-    Each R^{-1} is kept as its upper triangle with off-diagonal entries doubled
-    (``packed``, read by :meth:`quad_forms`) and as R^{-1} 1 (``rinv_one``)."""
+    R comes from one ``matern_cov`` call over the strict lower triangle of ``dm``
+    at every grid point; each R^{-1} from ``dpotri``, kept as its upper triangle
+    with off-diagonals doubled (``packed``, read by :meth:`quad_forms`), and
+    R^{-1} 1 (``rinv_one``) from two triangular solves."""
 
     def __init__(self, dm, prior: PriorSpec, nu: float):
         dm = np.asarray(dm, dtype=float)
@@ -96,17 +99,20 @@ class RhoGridFactors:
         self.packed = np.empty((len(grid), len(i)))
         self.rinv_one = np.empty((len(grid), m))
         self.chol = []
-        eye = np.eye(m)
-        for g, rho in enumerate(grid):
-            r = matern_cov(dm, MaternParams(sigma=1.0, rho=float(rho), nu=nu))
+        below = np.tril_indices(m, -1)
+        corr = matern_cov(dm[below] / grid[:, None], MaternParams(sigma=1.0, rho=1.0, nu=nu))
+        r = np.eye(m)  # cholesky's dpotrf(lower=1) reads only the lower triangle
+        for g in range(len(grid)):
+            r[below] = corr[g]
             fac = cholesky(r, jitter_scale=1.0)
             L = fac.L
             self.chol.append(fac)
             self.logdet[g] = 2.0 * np.log(np.diag(L)).sum()
-            linv = np.linalg.solve(L, eye)
-            inv = linv.T @ linv
-            self.packed[g] = inv[i, j] * double
-            self.rinv_one[g] = inv.sum(axis=1)
+            inv, info = lapack.dpotri(L, lower=1)  # R^{-1} in the lower triangle
+            if info != 0:
+                raise LinAlgError(f"dpotri failed with info {info}")
+            self.packed[g] = inv.T[i, j] * double
+            self.rinv_one[g] = blas.dtrsv(L, blas.dtrsv(L, np.ones(m), lower=1), lower=1, trans=1)
 
     def quad_forms(self, z):
         """z' R^{-1} z at every grid point, shape (n_grid,)."""

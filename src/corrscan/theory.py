@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .matern import cholesky, simulate_grf
+from .region import InputError
 
 __all__ = [
     "poisson_tail",
@@ -124,6 +125,10 @@ class TailSetup:
     method: str = "quadrature"
     n_samples: int = 400_000
     seed: object = None
+
+    def __post_init__(self):
+        if self.method not in ("quadrature", "monte_carlo"):
+            raise InputError(f"method must be 'quadrature' or 'monte_carlo', got {self.method!r}")
 
 
 def verify_prop2(setup: TailSetup, n_grid=(100, 1000, 10_000)):

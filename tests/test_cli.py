@@ -170,6 +170,12 @@ def test_check_theory_command(tmp_path):
         "heavier_tail_onset_exists"}
 
 
+def test_check_theory_rejects_an_unknown_method(capsys):
+    code = main(["--set", "method=bogus", "check-theory"])
+    assert code == EXIT_INPUT
+    assert "method must be 'quadrature' or 'monte_carlo'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--rho-upper", "1"],
     ["adjusted-scan", "--mc-size", "50"],

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gamma, kv
 from scipy.stats import kstest
 
 from corrscan import MaternParams, cholesky, matern_cov, simulate_grf
@@ -45,6 +46,29 @@ def test_matches_arbitrary_precision_bessel():
                    / (mpmath.mpf(2) ** (nu - 1) * mpmath.gamma(nu))
                    * mpmath.mpf(u) ** nu * mpmath.besselk(nu, u))
             assert matern_cov(u, p) == pytest.approx(float(ref), rel=1e-10)
+
+
+def _kv_formula(d, p):
+    """Every-nu formula of matern_cov, written out as the oracle."""
+    u = d / p.rho
+    with np.errstate(invalid="ignore"):
+        c = p.sigma**2 / (2 ** (p.nu - 1) * gamma(p.nu)) * u**p.nu * kv(p.nu, u)
+    return np.where(d == 0, p.sigma**2, c)
+
+
+def test_nu_one_fast_path_matches_the_kv_formula():
+    d = np.concatenate([[0.0], np.geomspace(1e-6, 300.0, 20_001)])
+    p = MaternParams(sigma=1.0, rho=1.0, nu=1.0)
+    got, want = matern_cov(d, p), _kv_formula(d, p)
+    assert got[0] == 1.0
+    assert np.max(np.abs(got - want) / want) <= 4e-15
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5])
+def test_other_smoothness_keeps_the_kv_formula_bit_for_bit(nu):
+    d = np.concatenate([[0.0], np.geomspace(1e-3, 200.0, 2_001)])
+    p = MaternParams(sigma=1.3, rho=7.0, nu=nu)
+    assert np.array_equal(matern_cov(d, p), _kv_formula(d, p))
 
 
 def test_monotone_decreasing_in_distance():

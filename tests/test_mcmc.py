@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import kv
+from scipy.stats import chisquare
 
-from corrscan import MaternParams, PriorSpec, cholesky, fit_model2, matern_cov
+from corrscan import (MaternParams, PriorSpec, cholesky, distance_matrix, fit_model2, matern_cov,
+                      synth_geometry)
 from corrscan.mcmc import (
+    ChainDivergenceError,
     McmcConfig,
     ModelIIFit,
     RhoGridFactors,
@@ -198,6 +202,24 @@ def test_packed_quad_forms_match_dense(m):
     assert np.allclose(fac.rinv_one, inv.sum(axis=2), rtol=1e-9, atol=0)
 
 
+@pytest.mark.parametrize("m", [6, 32])
+def test_rho_grid_factors_match_a_full_matrix_build(m):
+    # oracle: the full correlation matrix from kv, inverted whole
+    _, _, dm = _toy_data(seed=40 + m, m=m)
+    fac = RhoGridFactors(dm, PriorSpec(70), nu=1.0)
+    i, j = np.triu_indices(m)
+    for g, rho in enumerate(fac.grid):
+        u = dm / rho
+        with np.errstate(invalid="ignore"):
+            r = np.where(dm == 0, 1.0, u * kv(1, u))
+        inv = np.linalg.inv(r)
+        for got, want in ((fac.chol[g].L, np.linalg.cholesky(r)),
+                          (fac.packed[g], inv[i, j] * np.where(i == j, 1.0, 2.0)),
+                          (fac.rinv_one[g], inv.sum(axis=1))):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert fac.logdet[g] == pytest.approx(np.linalg.slogdet(r)[1], rel=1e-10, abs=1e-12)
+
+
 def test_inverse_cdf_index_draw_matches_choice():
     from corrscan.mcmc import _draw_index
 
@@ -294,3 +316,58 @@ def test_fit_input_errors_are_typed():
     y, n, dm = _toy_data(seed=8, m=6)
     with pytest.raises(ZeroCountsError):
         fit_model2(np.zeros(6), n, dm, PriorSpec(10), config=FAST, seed=0)
+
+
+# ------------------------------------------------------ simulation-based calibration
+
+SBC_BETA, SBC_SIGMA, SBC_FITS, SBC_BINS = (-5.0, -3.0), (0.05, 1.0), 600, 10
+
+
+@pytest.mark.slow
+def test_fit_model2_simulation_based_calibration(capsys):
+    """SBC (Talts et al. 2018, arXiv:1804.06788) of the study chain at m = 32.
+
+    The truth comes from a proper stand-in prior: beta and sigma uniform on a
+    box, rho from the fit's own grid prior.  The fit's flat priors cut to that
+    box are that prior's posterior, so each truth is ranked among the draws
+    inside the box.  The rank is randomised within its slot (and over ties, for
+    rho), which makes it uniform on [0, 1) when the chain samples the right
+    posterior.  About 5 to 40 cases in all keep the posteriors wide enough for
+    a wrong conditional draw to show."""
+    sr = synth_geometry(32, seed=7, pop_log_mean=3.0, pop_log_sd=0.6)
+    dm = distance_matrix(sr)
+    n = sr.populations[0]
+    prior = PriorSpec(70)
+    fac = RhoGridFactors(dm, prior, nu=1.0)
+    rng = np.random.default_rng(12)
+    ranks, failed = [], 0
+    while len(ranks) + failed < SBC_FITS:
+        beta, sigma = rng.uniform(*SBC_BETA), rng.uniform(*SBC_SIGMA)
+        g = int(rng.integers(len(fac.grid)))
+        z = sigma * (fac.chol[g].L @ rng.standard_normal(len(n)))
+        y = rng.poisson(n * np.exp(beta + z))
+        if y.sum() == 0:
+            continue  # not fittable; a choice made on the data alone keeps the ranks exact
+        try:
+            fit = fit_model2(y, n, dm, prior, config=FAST, seed=int(rng.integers(2**63)),
+                             rho_factors=fac)
+        except (ChainDivergenceError, OverflowError):
+            failed += 1
+            continue
+        inside = ((SBC_BETA[0] <= fit.beta) & (fit.beta <= SBC_BETA[1])
+                  & (SBC_SIGMA[0] <= fit.sigma) & (fit.sigma <= SBC_SIGMA[1]))
+        row = []
+        for draws, truth in ((fit.beta, beta), (fit.sigma, sigma), (fit.rho, fac.grid[g])):
+            d = draws[inside]
+            row.append((np.sum(d < truth) + rng.random() * (np.sum(d == truth) + 1)) / (len(d) + 1))
+        ranks.append(row)
+    counts = np.stack([np.bincount((r * SBC_BINS).astype(int), minlength=SBC_BINS)
+                       for r in np.transpose(ranks)])
+    pvalues = chisquare(counts, axis=1).pvalue
+    detail = (f"{len(ranks)} fits, {failed} failed; chi-square p over {SBC_BINS} rank bins: "
+              + ", ".join(f"{name} {p:.2g} {c.tolist()}"
+                          for name, p, c in zip(("beta", "sigma", "rho"), pvalues, counts)))
+    with capsys.disabled():
+        print(f"[sbc] {detail}")
+    assert failed == 0 and pvalues.min() > 1e-3, detail
+
