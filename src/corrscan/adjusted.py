@@ -157,17 +157,14 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
     n = sr.period_populations(period)
     observed = scan(sr, windows, period)
 
-    classical_p = mc_pvalue(observed.llr_star, sr, windows, M=config.M,
-                            seed=rng, period=period)
+    # one classical reference sample gives the classical p-value and the
+    # initial screen: the clusters whose llr reaches its screening quantile
+    ref0 = llr_star_batch(model1_simulator(sr, period)(rng, config.M), n, windows)
+    classical_p = rank_pvalue(observed.llr_star, ref0)
     classical = observed.with_pvalue(classical_p, config.M)
 
     clusters = _clusters_of(observed)
-    # initial exclusion from the classical screen: clusters whose llr reaches
-    # the screening quantile of the classical reference
-    significant = set()
-    if clusters:
-        ref0 = llr_star_batch(model1_simulator(sr, period)(rng, config.M), n, windows)
-        significant = _screen(clusters, ref0, config.alpha_screen)
+    significant = _screen(clusters, ref0, config.alpha_screen)
 
     iterations = []
     converged = False

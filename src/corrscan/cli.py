@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: scan, fit, adjusted-scan, surveil, type1-study, adjusted-study,
-fdr, check-theory, synth-geo.  A --config file (JSON) supplies defaults;
-any key is overridable with --set section.key=value.  Exit codes: 0 ok,
+fdr, check-theory, synth-geo.  A --config file (JSON) supplies settings,
+and --set section.key=value overrides one.  Each subcommand reads only the
+settings keys it declares; any other key is an input error.  Exit codes: 0 ok,
 2 input error, 3 numerical failure, 4 non-convergence warning under --strict.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -28,7 +30,8 @@ from .harness import (
 from .matern import NotPositiveDefiniteError
 from .mcmc import (ChainDivergenceError, McmcConfig, PriorSpec, TooFewRegionsError,
                    ZeroCountsError, fit_model2)
-from .region import InputError, distance_matrix, enumerate_windows, load_study_region
+from .region import (InputError, _parse_lines, distance_matrix, enumerate_windows,
+                     load_study_region)
 from .scan import mc_pvalue, scan
 
 EXIT_OK = 0
@@ -36,12 +39,17 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_WARN = 4
 
+# the settings keys of the chain, one per McmcConfig field
+MCMC_KEYS = tuple(f"mcmc.{name}" for name in McmcConfig.__dataclass_fields__)
+
 
 def _load_config(args):
     cfg = {}
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise InputError(f"{args.config}: expected a JSON object of settings")
     for item in args.set or []:
         key, _, raw = item.partition("=")
         if not _:
@@ -58,29 +66,39 @@ def _load_config(args):
     return cfg
 
 
-def _region_from_args(args):
-    return load_study_region(args.geo, args.pop, args.cas)
+def _check_settings(cfg, command, accepted):
+    """Raise :class:`InputError` naming the first settings key, dotted as in
+    ``--set``, that ``command`` does not read."""
+    for key, val in cfg.items():
+        for name in [f"{key}.{sub}" for sub in val] if isinstance(val, dict) else [key]:
+            if name not in accepted:
+                raise InputError(f"{command} does not read the settings key {name!r}; "
+                                 f"it accepts: {', '.join(accepted)}")
 
 
-def _mcmc_config(cfg):
-    section = cfg.get("mcmc", {})
-    return McmcConfig(**{k: section[k] for k in section
-                         if k in McmcConfig.__dataclass_fields__})
+def _given(cfg, *keys):
+    """The settings among ``keys`` that ``cfg`` holds, so the library default
+    applies to the rest."""
+    return {key: cfg[key] for key in keys if key in cfg}
+
+
+def _write(text, out):
+    """Write ``text`` to the file ``out``, or to stdout without one."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
 
 
 def _emit(obj, out):
-    text = json.dumps(obj, indent=2, default=str)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(obj, indent=2, default=str) + "\n", out)
 
 
 def cmd_scan(args, cfg):
-    sr = _region_from_args(args)
+    sr = load_study_region(args.geo, args.pop, args.cas)
     dm = distance_matrix(sr)
-    windows = enumerate_windows(sr, dm, cfg.get("max_window_fraction", 0.5))
+    windows = enumerate_windows(sr, dm, *_given(cfg, "max_window_fraction").values())
     result = scan(sr, windows, args.period)
     p = mc_pvalue(result.llr_star, sr, windows, M=args.mc_size, seed=args.seed,
                   period=args.period)
@@ -89,12 +107,12 @@ def cmd_scan(args, cfg):
 
 
 def cmd_fit(args, cfg):
-    sr = _region_from_args(args)
+    sr = load_study_region(args.geo, args.pop, args.cas)
     dm = distance_matrix(sr)
     y = sr.period_cases(args.period)
     n = sr.period_populations(args.period)
     fit = fit_model2(y, n, dm, PriorSpec(args.rho_upper), nu=args.nu,
-                     config=_mcmc_config(cfg), seed=args.seed)
+                     config=McmcConfig(**cfg.get("mcmc", {})), seed=args.seed)
     _emit(fit.summary(), args.out)
     if args.strict and fit.warnings:
         return EXIT_WARN
@@ -105,20 +123,19 @@ def _adjusted_config(args, cfg):
     return AdjustedScanConfig(
         prior=PriorSpec(args.rho_upper),
         nu=args.nu,
-        alpha_screen=cfg.get("alpha_screen", 0.1),
         M=args.mc_size,
-        max_iter=cfg.get("max_iter", 5),
-        mcmc=_mcmc_config(cfg),
+        mcmc=McmcConfig(**cfg.get("mcmc", {})),
         seed=args.seed,
-        max_window_fraction=cfg.get("max_window_fraction", 0.5),
+        **_given(cfg, "alpha_screen", "max_iter", "max_window_fraction"),
     )
 
 
 def cmd_adjusted_scan(args, cfg):
-    sr = _region_from_args(args)
+    config = _adjusted_config(args, cfg)
+    sr = load_study_region(args.geo, args.pop, args.cas)
     dm = distance_matrix(sr)
-    windows = enumerate_windows(sr, dm, cfg.get("max_window_fraction", 0.5))
-    result = adjusted_scan(sr, windows, dm, _adjusted_config(args, cfg), args.period)
+    windows = enumerate_windows(sr, dm, config.max_window_fraction)
+    result = adjusted_scan(sr, windows, dm, config, args.period)
     _emit(result.to_dict(sr), args.out)
     if args.strict and not result.converged:
         return EXIT_WARN
@@ -126,16 +143,16 @@ def cmd_adjusted_scan(args, cfg):
 
 
 def cmd_surveil(args, cfg):
-    sr = _region_from_args(args)
+    sr = load_study_region(args.geo, args.pop, args.cas)
     report = surveillance_run(sr, args.train_period, _adjusted_config(args, cfg))
     _emit(report, args.out)
     return EXIT_OK
 
 
 def _experiment_config(args, cfg, mode):
-    chain = {"mcmc": _mcmc_config(cfg)} if "mcmc" in cfg else {}
+    chain = {"mcmc": McmcConfig(**cfg["mcmc"])} if "mcmc" in cfg else {}
     return ExperimentConfig(
-        beta=cfg.get("beta", args.beta),
+        beta=args.beta,
         sigma_grid=tuple(cfg.get("sigma_grid", [args.sigma])),
         rho_grid=tuple(cfg.get("rho_grid", [args.rho])),
         nu=args.nu,
@@ -150,7 +167,7 @@ def _experiment_config(args, cfg, mode):
 
 def _study(args, cfg, mode, study):
     if args.geo:
-        sr = _region_from_args(args)
+        sr = load_study_region(args.geo, args.pop, args.cas)
     else:
         sr = synth_geometry(args.m, seed=args.seed or 0)
     ecfg = _experiment_config(args, cfg, mode)
@@ -172,29 +189,33 @@ def cmd_adjusted_study(args, cfg):
     return _study(args, cfg, cfg.get("mode", "adjusted_true_params"), adjusted_study)
 
 
-def cmd_fdr(args, cfg):
+def _read_pvalues(path):
+    """(label, p) rows of a 'period p_value' file; a line whose first field
+    starts with 'period' is a header."""
     rows = []
-    with open(args.input) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("period"):
-                continue
-            label, _, pval = line.replace(",", " ").partition(" ")
-            rows.append((label, float(pval)))
+    for lineno, f in _parse_lines(path):
+        if f[0].lower().startswith("period"):
+            continue
+        try:
+            p = float(f[1]) if len(f) == 2 else math.nan
+        except ValueError:
+            p = math.nan
+        if not 0 < p <= 1:
+            raise InputError(f"{path}:{lineno}: expected 'period p_value' with 0 < p_value <= 1")
+        rows.append((f[0], p))
+    return rows
+
+
+def cmd_fdr(args, cfg):
+    rows = _read_pvalues(args.input)
     p = nudge_boundary_p([v for _, v in rows], args.mc_size)
     z = p_to_z(p)
-    model = fit_fdr_model(z, spline_df=cfg.get("spline_df", 5))
+    model = fit_fdr_model(z, **_given(cfg, "spline_df"))
     lines = ["period,z,fdr"]
     for (label, _), zv, fv in zip(rows, z, model.fdr):
         lines.append(f"{label},{zv:.6f},{fv:.6f}")
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-    else:
-        print(csv_text, end="")
+    _write("\n".join(lines) + "\n", args.out)
     _emit({"delta0": model.delta0, "sigma0": model.sigma0,
-           "threshold": cfg.get("fdr_threshold", 0.1),
            "histogram": {"edges": model.density.edges.tolist(),
                          "counts": model.density.counts.tolist(),
                          "f": model.density.f.tolist()}},
@@ -204,34 +225,27 @@ def cmd_fdr(args, cfg):
 
 def cmd_check_theory(args, cfg):
     report = {"checks": []}
-    setup = theory.TailSetup(beta=cfg.get("beta", 0.0),
-                             populations=tuple(cfg.get("populations", [5.0])),
+    beta = cfg.get("beta", 0.0)
+    populations = cfg.get("populations", [5.0])
+    setup = theory.TailSetup(beta=beta, populations=tuple(populations),
                              sigma_mat=tuple(cfg.get("sigma_mat", [1.0])),
-                             k=cfg.get("k", 9),
-                             method=cfg.get("method", "quadrature"),
-                             seed=args.seed)
-    res = theory.verify_prop2(setup, tuple(cfg.get("n_grid", [100, 1000, 10000])))
+                             k=cfg.get("k", 9), seed=args.seed)
+    res = theory.verify_prop2(setup, **_given(cfg, "n_grid"))
     report["checks"].append({
         "name": "second_order_tail_expansion",
         "loglog_slope": res["loglog_slope"],
         "pass": bool(res["loglog_slope"] <= -1.25),
         "rows": res["rows"],
     })
-    sign_ok = True
-    for lam in (1, 2, 5, 10, 20):
-        for k in range(2, 41):
-            corr = theory.prop2_correction(k, lam, 0.0, 1.0, 100)
-            want = (k > lam + 1) - (k < lam + 1)
-            got = (corr > 0) - (corr < 0)
-            if k == lam + 1:
-                ok = abs(corr) <= 1e-14
-            else:
-                ok = got == want
-            sign_ok = sign_ok and ok
+    # sign(correction) = sign(k - lam - 1), and 0 means |correction| <= 1e-14
+    sign_ok = all(
+        abs(corr) <= 1e-14 if k == lam + 1 else np.sign(corr) == np.sign(k - lam - 1)
+        for lam in (1, 2, 5, 10, 20) for k in range(2, 41)
+        for corr in [theory.prop2_correction(k, lam, 0.0, 1.0, 100)])
     report["checks"].append({"name": "correction_sign_condition", "pass": sign_ok})
     k_star, _ = theory.heavier_tail_onset(
-        cfg.get("beta", 0.0), cfg.get("populations", [5.0]),
-        np.atleast_2d(cfg.get("sigma_mat", [0.04])), seed=args.seed or 0)
+        beta, populations, np.reshape(cfg.get("sigma_mat", [0.04]), (len(populations),) * 2),
+        seed=args.seed or 0)
     report["checks"].append({"name": "heavier_tail_onset_exists",
                              "k_star": k_star, "pass": k_star is not None})
     report["all_pass"] = all(c["pass"] for c in report["checks"])
@@ -241,19 +255,17 @@ def cmd_check_theory(args, cfg):
 
 def cmd_synth_geo(args, cfg):
     sr = synth_geometry(args.m, seed=args.seed or 0,
-                        pop_log_mean=cfg.get("pop_log_mean", 10.0),
-                        pop_log_sd=cfg.get("pop_log_sd", 1.0))
+                        **_given(cfg, "pop_log_mean", "pop_log_sd"))
     header = [f"# synthetic geometry m={args.m} seed={args.seed or 0}"]
     geo = [f"{rid} {x:.4f} {y:.4f}" for rid, (x, y) in zip(sr.ids, sr.centroids)]
     pops = [f"{pop:.2f}" for pop in sr.populations[0]]
     if not args.out:
-        print("\n".join(header + [f"{g} {p}" for g, p in zip(geo, pops)]))
+        _write("\n".join(header + [f"{g} {p}" for g, p in zip(geo, pops)]) + "\n", None)
         return EXIT_OK
     # the geometry and population files that --geo and --pop read
     for path, lines in ((args.out, geo),
                         (args.out + ".pop", [f"{rid} {p}" for rid, p in zip(sr.ids, pops)])):
-        with open(path, "w") as fh:
-            fh.write("\n".join(header + lines) + "\n")
+        _write("\n".join(header + lines) + "\n", path)
     return EXIT_OK
 
 
@@ -283,25 +295,29 @@ def build_parser():
     p = sub.add_parser("scan", help="classical scan with Monte Carlo p-value")
     add_region_args(p)
     p.add_argument("--mc-size", dest="mc_size", type=int, default=999)
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func=cmd_scan, settings=("max_window_fraction",))
 
     p = sub.add_parser("fit", help="fit the spatial mixed model by MCMC")
     add_region_args(p)
     add_model_args(p)
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, settings=MCMC_KEYS)
 
     p = sub.add_parser("adjusted-scan", help="correlation-adjusted scan")
     add_region_args(p)
     add_model_args(p)
-    p.set_defaults(func=cmd_adjusted_scan)
+    p.set_defaults(func=cmd_adjusted_scan,
+                   settings=("alpha_screen", "max_iter", "max_window_fraction", *MCMC_KEYS))
 
     p = sub.add_parser("surveil", help="train/test surveillance with FDR layer")
     add_region_args(p)
     add_model_args(p)
     p.add_argument("--train-period", dest="train_period", required=True)
-    p.set_defaults(func=cmd_surveil)
+    p.set_defaults(func=cmd_surveil, settings=("max_window_fraction", *MCMC_KEYS))
 
-    for name, fn in (("type1-study", cmd_type1_study), ("adjusted-study", cmd_adjusted_study)):
+    for name, fn, settings in (
+            ("type1-study", cmd_type1_study, ("sigma_grid", "rho_grid")),
+            ("adjusted-study", cmd_adjusted_study,
+             ("sigma_grid", "rho_grid", "mode", *MCMC_KEYS))):
         p = sub.add_parser(name, help="false-alarm proportion study")
         p.add_argument("--geo")
         p.add_argument("--pop")
@@ -313,24 +329,25 @@ def build_parser():
         p.add_argument("--replicates", type=int, default=200)
         p.add_argument("--out", default=None)
         add_model_args(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, settings=settings)
 
     p = sub.add_parser("fdr", help="local FDR over a CSV of (period, p_value)")
     p.add_argument("--input", required=True)
     p.add_argument("--mc-size", dest="mc_size", type=int, default=999)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fdr)
+    p.set_defaults(func=cmd_fdr, settings=("spline_df",))
 
     p = sub.add_parser("check-theory", help="tail-asymptotics verification report")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_check_theory)
+    p.set_defaults(func=cmd_check_theory,
+                   settings=("beta", "populations", "sigma_mat", "k", "n_grid"))
 
     p = sub.add_parser("synth-geo", help="generate a synthetic study geometry")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", default=None,
                    help="write 'id x y' here and 'id population' to OUT.pop "
                         "(default: 'id x y population' lines on stdout)")
-    p.set_defaults(func=cmd_synth_geo)
+    p.set_defaults(func=cmd_synth_geo, settings=("pop_log_mean", "pop_log_sd"))
     return parser
 
 
@@ -339,6 +356,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
+        _check_settings(cfg, args.command, args.settings)
         return args.func(args, cfg)
     except (InputError, FileNotFoundError, json.JSONDecodeError, ZeroCountsError,
             TooFewRegionsError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -28,6 +28,10 @@ __all__ = [
     "fit_fdr_model",
     "default_bins",
 ]
+
+_IRLS_MAX_ITER = 100
+_IRLS_TOL = 1e-8  # relative deviance change at which IRLS has converged
+_NULL_HALFWIDTH = 1.0  # central matching fits log f within this distance of the mode
 
 
 def nudge_boundary_p(p, mc_size):
@@ -66,7 +70,7 @@ def natural_spline_basis(x, knots):
     return np.column_stack(cols)
 
 
-def poisson_spline_fit(x, counts, df, max_iter=100, tol=1e-8):
+def poisson_spline_fit(x, counts, df):
     """Poisson regression of counts on a natural-spline basis in x, by IRLS."""
     counts = np.asarray(counts, dtype=float)
     if df < 3:
@@ -78,7 +82,7 @@ def poisson_spline_fit(x, counts, df, max_iter=100, tol=1e-8):
     eta = np.log(np.maximum(counts, 0.5))
     coef = np.linalg.lstsq(basis, eta, rcond=None)[0]
     dev_prev = np.inf
-    for it in range(max_iter):
+    for it in range(_IRLS_MAX_ITER):
         eta = np.clip(basis @ coef, -30, 30)
         mu = np.exp(eta)
         w = mu
@@ -88,11 +92,11 @@ def poisson_spline_fit(x, counts, df, max_iter=100, tol=1e-8):
         mu = np.exp(np.clip(basis @ coef, -30, 30))
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = 2 * np.sum(np.where(counts > 0, counts * np.log(counts / mu), 0) - (counts - mu))
-        if np.isfinite(dev_prev) and abs(dev_prev - dev) <= tol * (abs(dev) + 0.1):
+        if np.isfinite(dev_prev) and abs(dev_prev - dev) <= _IRLS_TOL * (abs(dev) + 0.1):
             return np.exp(np.clip(basis @ coef, -30, 30)), coef, knots
         dev_prev = dev
     raise RuntimeError(
-        f"IRLS did not converge in {max_iter} iterations (last deviance {dev:.4g}); "
+        f"IRLS did not converge in {_IRLS_MAX_ITER} iterations (last deviance {dev:.4g}); "
         "try fewer spline degrees of freedom or more bins"
     )
 
@@ -128,8 +132,8 @@ def fit_empirical_density(z, bins=None, spline_df=5) -> FittedDensity:
     return FittedDensity(grid=mids, f=f, edges=edges, counts=counts)
 
 
-def fit_empirical_null(grid, f, halfwidth=1.0):
-    """Central matching: quadratic fit to log f over [mode +/- halfwidth].
+def fit_empirical_null(grid, f):
+    """Central matching: quadratic fit to log f over [mode +/- 1].
 
     Returns (delta0, sigma0) of the normal empirical null."""
     grid = np.asarray(grid, dtype=float)
@@ -140,7 +144,7 @@ def fit_empirical_null(grid, f, halfwidth=1.0):
     if mode_idx in (0, len(f) - 1):
         raise ValueError("density mode lies on the grid boundary; no interior mode")
     mode = grid[mode_idx]
-    sel = np.abs(grid - mode) <= halfwidth
+    sel = np.abs(grid - mode) <= _NULL_HALFWIDTH
     if sel.sum() < 3:
         raise ValueError("too few grid points in the central matching window")
     a2, a1, _ = np.polyfit(grid[sel], np.log(f[sel]), 2)
@@ -178,13 +182,11 @@ def local_fdr(model: FdrModel, z):
     return val, flag
 
 
-def fit_fdr_model(z, bins=None, spline_df=5) -> FdrModel:
+def fit_fdr_model(z, spline_df=5) -> FdrModel:
     """End-to-end: density fit, empirical null, per-input local fdr."""
     z = np.asarray(z, dtype=float)
-    density = fit_empirical_density(z, bins=bins, spline_df=spline_df)
+    density = fit_empirical_density(z, spline_df=spline_df)
     delta0, sigma0 = fit_empirical_null(density.grid, density.f)
     model = FdrModel(z=z, density=density, delta0=delta0, sigma0=sigma0,
                      fdr=np.empty(0))
-    fdr, _ = local_fdr(model, z)
-    return FdrModel(z=z, density=density, delta0=delta0, sigma0=sigma0,
-                    fdr=np.asarray(fdr))
+    return replace(model, fdr=np.asarray(local_fdr(model, z)[0]))

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 MODES = ("classical", "adjusted_fitted", "adjusted_true_params")
+ALPHAS = (0.01, 0.05, 0.1)  # levels at which every study reports its proportions
 
 # A replicate with no cases, or whose reference fails for one of these causes,
 # is dropped and counted by cause; any other exception propagates.
@@ -57,10 +58,8 @@ class ExperimentConfig:
     nu: float = 1.0
     replicates: int = 200
     mc_size: int = 199
-    alphas: tuple = (0.01, 0.05, 0.1)
     mode: str = "classical"
     seed: int = 0
-    max_window_fraction: float = 0.5
     rho_upper: int = 70
     mcmc: McmcConfig = field(default_factory=lambda: McmcConfig(
         n_iter=2_000, burn_in=500, thin=3))
@@ -70,7 +69,7 @@ class ExperimentConfig:
             raise InputError(f"replicates must be >= 1, got {self.replicates}")
         if self.mc_size < 19:
             raise InputError(f"mc_size must be >= 19, got {self.mc_size}")
-        if not self.sigma_grid or not self.rho_grid or not self.alphas:
+        if not self.sigma_grid or not self.rho_grid:
             raise InputError("grids must be nonempty")
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -118,13 +117,13 @@ class ProportionTable:
         return "\n".join(lines) + "\n"
 
 
-def synth_geometry(m, bbox=(8.0, 162.0, 8.0, 162.0), seed=None,
-                   pop_log_mean=10.0, pop_log_sd=1.0, period="all") -> StudyRegion:
-    """Uniform random centroids in bbox with lognormal populations."""
+def synth_geometry(m, seed=None, pop_log_mean=10.0, pop_log_sd=1.0) -> StudyRegion:
+    """Uniform random centroids in the square [8, 162]^2 with lognormal
+    populations, as one period labelled "all"."""
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    x0, x1, y0, y1 = bbox
+    x0, x1, y0, y1 = 8.0, 162.0, 8.0, 162.0
     xs = rng.uniform(x0, x1, m)
     ys = rng.uniform(y0, y1, m)
     pops = rng.lognormal(pop_log_mean, pop_log_sd, m)
@@ -132,7 +131,7 @@ def synth_geometry(m, bbox=(8.0, 162.0, 8.0, 162.0), seed=None,
     return StudyRegion(
         ids=ids,
         centroids=np.column_stack([xs, ys]),
-        periods=(period,),
+        periods=("all",),
         populations=pops[None, :],
         cases=np.zeros((1, m), dtype=np.int64),
     )
@@ -155,7 +154,7 @@ def adjusted_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTable:
 
 def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTable:
     dm = distance_matrix(sr)
-    windows = enumerate_windows(sr, dm, cfg.max_window_fraction)
+    windows = enumerate_windows(sr, dm)
     n = sr.period_populations(sr.periods[0])
     table = ProportionTable()
     master = np.random.SeedSequence(cfg.seed)
@@ -192,7 +191,7 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
                     dropped_by[type(exc).__name__] += 1
                     continue
                 pvals.append(rank_pvalue(obs, ref))
-            table.add_setting(sigma, rho, cfg.mode, pvals, cfg.alphas, dropped_by)
+            table.add_setting(sigma, rho, cfg.mode, pvals, ALPHAS, dropped_by)
     return table
 
 
@@ -229,8 +228,7 @@ def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, rng, rn
     return sample(n, counts.sum(), windows, rng, cfg.mc_size, sr.ids)[0]
 
 
-def surveillance_run(sr: StudyRegion, train_period, config: AdjustedScanConfig,
-                     fdr_bins=None, fdr_spline_df=5):
+def surveillance_run(sr: StudyRegion, train_period, config: AdjustedScanConfig):
     """Per-period adjusted scanning over all non-training periods, then the
     local-FDR layer over the resulting adjusted p-values."""
     if sr.n_periods < 2:
@@ -246,7 +244,7 @@ def surveillance_run(sr: StudyRegion, train_period, config: AdjustedScanConfig,
     fdr_fit = None
     if len(z) >= 30:
         try:
-            model = fit_fdr_model(z, bins=fdr_bins, spline_df=fdr_spline_df)
+            model = fit_fdr_model(z)
             fdr_vals = model.fdr
             fdr_fit = {"delta0": model.delta0, "sigma0": model.sigma0}
         except (ValueError, RuntimeError) as exc:

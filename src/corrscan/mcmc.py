@@ -56,10 +56,6 @@ class McmcConfig:
     n_iter: int = 55_000
     burn_in: int = 5_000
     thin: int = 10
-    adapt_interval: int = 50
-    target_accept: float = 0.44
-    divergence_factor: float = 10.0
-    divergence_run: int = 1_000
 
     def __post_init__(self):
         if self.burn_in >= self.n_iter:
@@ -205,6 +201,10 @@ def effective_sample_size(x):
 
 
 _MAX_SHRINKS = 100
+_ADAPT_INTERVAL = 50  # burn-in iterations between proposal-scale updates
+_TARGET_ACCEPT = 0.44  # acceptance rate the ridge and scale moves adapt towards
+_DIVERGENCE_FACTOR = 10.0  # sigma this far above its running median, for
+_DIVERGENCE_RUN = 1_000  # this many consecutive iterations, is a divergence
 
 
 def elliptical_slice(z, prior_draw, loglik, current, rng):
@@ -279,7 +279,6 @@ def fit_model2(y, n, dm, prior: PriorSpec, nu=1.0, config: McmcConfig | None = N
     sigma_trace = np.empty(config.n_iter)
     sigma_median = sigma
     div_streak = 0
-    target = config.target_accept
 
     for it in range(config.n_iter):
         adapting = it < config.burn_in
@@ -335,22 +334,21 @@ def fit_model2(y, n, dm, prior: PriorSpec, nu=1.0, config: McmcConfig | None = N
         sigma_trace[it] = sigma
         if (it + 1) % 500 == 0:
             sigma_median = float(np.median(sigma_trace[: it + 1]))
-        if sigma > config.divergence_factor * sigma_median:
+        if sigma > _DIVERGENCE_FACTOR * sigma_median:
             div_streak += 1
-            if div_streak >= config.divergence_run:
+            if div_streak >= _DIVERGENCE_RUN:
                 raise ChainDivergenceError(
-                    f"sigma={sigma:.3g} above {config.divergence_factor}x running "
+                    f"sigma={sigma:.3g} above {_DIVERGENCE_FACTOR}x running "
                     f"median {sigma_median:.3g} for {div_streak} consecutive iterations"
                 )
         else:
             div_streak = 0
 
         # proposal adaptation, frozen at end of burn-in
-        if adapting and (it + 1) % config.adapt_interval == 0:
-            k = config.adapt_interval
-            ridge_scale *= math.exp(ridge_acc / k - target)
+        if adapting and (it + 1) % _ADAPT_INTERVAL == 0:
+            ridge_scale *= math.exp(ridge_acc / _ADAPT_INTERVAL - _TARGET_ACCEPT)
             ridge_scale = min(max(ridge_scale, 1e-4), 10.0)
-            scale_scale *= math.exp(scale_acc / k - target)
+            scale_scale *= math.exp(scale_acc / _ADAPT_INTERVAL - _TARGET_ACCEPT)
             scale_scale = min(max(scale_scale, 1e-4), 10.0)
             ridge_acc = scale_acc = 0
 

@@ -7,7 +7,7 @@ inside rate is the higher one.  All work is in log space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,16 +81,7 @@ class ScanResult:
     mc_size: int | None = None
 
     def with_pvalue(self, p, mc_size):
-        return ScanResult(
-            self.llr_star,
-            self.primary,
-            self.primary_llr,
-            self.primary_y,
-            self.primary_n,
-            self.secondaries,
-            p_value=p,
-            mc_size=mc_size,
-        )
+        return replace(self, p_value=p, mc_size=mc_size)
 
     def to_dict(self, sr: StudyRegion | None = None):
         def cluster_dict(c, llr, y, n):

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .matern import cholesky, simulate_grf
-from .region import InputError
 
 __all__ = [
     "poisson_tail",
@@ -26,6 +25,8 @@ __all__ = [
     "verify_prop2",
     "heavier_tail_onset",
 ]
+
+_QUAD_NODES = 201  # Gauss-Hermite nodes of the single-component quadrature
 
 
 def poisson_tail(k, lam):
@@ -47,7 +48,7 @@ def poisson_pmf(k, lam):
 
 
 def mixture_tail(k, beta, populations, sigma_mat, method="monte_carlo",
-                 n_samples=100_000, seed=None, quad_nodes=201):
+                 n_samples=100_000, seed=None):
     """Tail probability of the total count under the lognormal rate mixture.
 
     Returns (estimate, standard_error).  The quadrature path requires a
@@ -63,10 +64,8 @@ def mixture_tail(k, beta, populations, sigma_mat, method="monte_carlo",
     if method == "quadrature":
         if len(n) != 1:
             raise ValueError("quadrature path handles a single component only")
-        if quad_nodes < 64:
-            raise ValueError("use at least 64 Gauss-Hermite nodes")
         s = math.sqrt(sig[0, 0])
-        x, w = np.polynomial.hermite_e.hermegauss(quad_nodes)
+        x, w = np.polynomial.hermite_e.hermegauss(_QUAD_NODES)
         w = w / math.sqrt(2 * math.pi)
         lam = math.exp(beta) * n[0] * np.exp(s * x)
         vals = np.array([poisson_tail(k, l) for l in lam])
@@ -122,26 +121,22 @@ class TailSetup:
     populations: tuple
     sigma_mat: tuple  # nested tuple, row-major
     k: int
-    method: str = "quadrature"
     n_samples: int = 400_000
     seed: object = None
-
-    def __post_init__(self):
-        if self.method not in ("quadrature", "monte_carlo"):
-            raise InputError(f"method must be 'quadrature' or 'monte_carlo', got {self.method!r}")
 
 
 def verify_prop2(setup: TailSetup, n_grid=(100, 1000, 10_000)):
     """Remainder-vs-n report for the second-order tail expansion.
 
-    Monte Carlo runs share one base normal sample across the n grid (common
+    One component is checked by Gauss-Hermite quadrature, more by Monte Carlo
+    over ``setup.n_samples`` field draws, shared across the n grid (common
     random numbers) so the remainder decay is not drowned by noise.
     """
     pops = np.asarray(setup.populations, dtype=float)
     sig0 = np.asarray(setup.sigma_mat, dtype=float).reshape(len(pops), len(pops))
     v_n = float(pops @ sig0 @ pops)
-    base = None
-    if setup.method == "monte_carlo":
+    method = "quadrature" if len(pops) == 1 else "monte_carlo"
+    if method == "monte_carlo":
         base = _field_draws(sig0, setup.n_samples, setup.seed)
 
     rows = []
@@ -149,7 +144,7 @@ def verify_prop2(setup: TailSetup, n_grid=(100, 1000, 10_000)):
         sig = sig0 / n
         lam_bar = _lambda_bar(setup.beta, pops, sig)
         p1 = poisson_tail(setup.k, lam_bar)
-        if setup.method == "quadrature":
+        if method == "quadrature":
             p2, se = mixture_tail(setup.k, setup.beta, pops, sig, method="quadrature")
         else:
             p2, se = _mc_tail(setup.k, _total_rates(setup.beta, pops, base / math.sqrt(n)))
@@ -158,7 +153,7 @@ def verify_prop2(setup: TailSetup, n_grid=(100, 1000, 10_000)):
         if se > 0 and corr != 0 and se > abs(corr) / 10:
             raise RuntimeError(
                 f"Monte Carlo SE {se:.2e} too large relative to the correction "
-                f"{corr:.2e} at n={n}; raise n_samples"
+                f"{corr:.2e} at n={n}; raise n_samples or use smaller n_grid values"
             )
         rows.append({
             "n": n,
@@ -175,7 +170,7 @@ def verify_prop2(setup: TailSetup, n_grid=(100, 1000, 10_000)):
         slope = float(np.polyfit(np.log([r["n"] for r in usable]),
                                  np.log([r["remainder"] for r in usable]), 1)[0])
     return {"rows": rows, "loglog_slope": slope, "v_n": v_n,
-            "setup": {"beta": setup.beta, "k": setup.k, "method": setup.method}}
+            "setup": {"beta": setup.beta, "k": setup.k, "method": method}}
 
 
 def heavier_tail_onset(beta, populations, sigma_mat, seed=None, n_samples=400_000):

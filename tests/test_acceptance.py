@@ -114,8 +114,7 @@ def test_criterion_4_fitted_parameter_ordering(false_alarm_proportions, capsys):
 
 
 def test_criterion_5_tail_expansion_remainder(capsys):
-    setup = TailSetup(beta=0.0, populations=(5.0,), sigma_mat=(1.0,), k=9,
-                      method="quadrature")
+    setup = TailSetup(beta=0.0, populations=(5.0,), sigma_mat=(1.0,), k=9)
     out = verify_prop2(setup, n_grid=(100, 1000, 10_000))
     slope = out["loglog_slope"]
     last = out["rows"][-1]

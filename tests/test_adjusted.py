@@ -1,6 +1,7 @@
 """Adjusted scan: mixed-model count simulation, intercept re-centering,
 iterative cluster re-assessment, train/test surveillance scans."""
 
+import importlib
 import math
 
 import numpy as np
@@ -152,6 +153,32 @@ def test_adjusted_scan_planted_hotspot_detected():
     assert hot in best[0].members
     assert best[2] <= 0.05
     assert res.iterations[0]["excluded_regions"]  # the screen caught it
+
+
+def test_adjusted_scan_draws_one_classical_reference(monkeypatch):
+    # the classical p-value and the first screen share one multinomial sample
+    modules = [importlib.import_module(f"corrscan.{name}") for name in ("adjusted", "scan")]
+    original = modules[1].model1_simulator
+    draws = []
+
+    def counting(*args, **kwargs):
+        simulate = original(*args, **kwargs)
+
+        def counted(rng, size):
+            draws.append(size)
+            return simulate(rng, size)
+
+        return counted
+
+    for module in modules:
+        monkeypatch.setattr(module, "model1_simulator", counting)
+    sr = _null_region(m=12, seed=21)
+    dm = distance_matrix(sr)
+    ws = enumerate_windows(sr, dm, 0.5)
+    cfg = AdjustedScanConfig(prior=PriorSpec(20), M=199, mcmc=FAST, seed=5)
+    res = adjusted_scan(sr, ws, dm, cfg)
+    assert res.classical.primary is not None  # so the screen ran
+    assert draws == [199]
 
 
 def test_adjusted_scan_too_few_clean_regions():

@@ -1,15 +1,20 @@
 """Command-line surface: subcommands, config overrides, exit codes."""
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corrscan import load_study_region, synth_geometry
 from corrscan.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -29,9 +34,12 @@ def region_files(tmp_path):
     return str(geo), str(pop), str(cas)
 
 
+def _subcommands():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
 def test_all_subcommands_registered():
-    parser = build_parser()
-    names = set(parser._subparsers._group_actions[0].choices)
+    names = set(_subcommands())
     assert names == {"scan", "fit", "adjusted-scan", "surveil", "type1-study",
                      "adjusted-study", "fdr", "check-theory", "synth-geo"}
 
@@ -170,10 +178,62 @@ def test_check_theory_command(tmp_path):
         "heavier_tail_onset_exists"}
 
 
-def test_check_theory_rejects_an_unknown_method(capsys):
-    code = main(["--set", "method=bogus", "check-theory"])
-    assert code == EXIT_INPUT
-    assert "method must be 'quadrature' or 'monte_carlo'" in capsys.readouterr().err
+def test_check_theory_two_components_take_the_monte_carlo_path(capsys):
+    two = ["--seed", "3", "--set", "populations=[2.5,2.5]", "--set", "sigma_mat=[1,0.5,0.5,1]"]
+    assert main([*two, "check-theory"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "Monte Carlo SE" in err and "n_grid" in err and "n_samples" in err
+    # the setting the message names is one the command line can change
+    assert main([*two, "--set", "n_grid=[10,30,100]", "check-theory"]) == EXIT_OK
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a command reads an input file or runs a chain."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the settings check")
+
+    for module, name in (("cli", "load_study_region"), ("cli", "_read_pvalues"),
+                         ("cli", "synth_geometry"), ("theory", "verify_prop2"),
+                         ("cli", "fit_model2"), ("adjusted", "fit_model2"),
+                         ("harness", "fit_model2")):
+        monkeypatch.setattr(importlib.import_module(f"corrscan.{module}"), name, forbidden)
+
+
+@pytest.mark.parametrize("settings, argv", [
+    pytest.param(["mcmc.adapt_interval=0"], ["fit"], id="mcmc.adapt_interval"),
+    pytest.param(["mcmc.target_accept=0.3"], ["fit"], id="mcmc.target_accept"),
+    pytest.param(["mcmc.divergence_factor=5"], ["fit"], id="mcmc.divergence_factor"),
+    pytest.param(["mcmc.divergence_run=10"], ["fit"], id="mcmc.divergence_run"),
+    pytest.param(["fdr_threshold=0.2"], ["fdr", "--input", "p.csv"], id="fdr_threshold"),
+    pytest.param(["method=monte_carlo"], ["check-theory"], id="method"),
+    pytest.param(["beta=-5", "mode=adjusted_fitted"], ["adjusted-study", "--replicates", "2"],
+                 id="beta"),
+    pytest.param(["mcmc.n_iters=600"], ["fit"], id="mcmc.n_iters"),
+    pytest.param(["alpha_scren=0.05"], ["adjusted-scan"], id="alpha_scren"),
+])
+def test_unread_settings_key_is_an_input_error(region_files, no_work, capsys, settings, argv):
+    geo, pop, cas = region_files
+    files = [] if argv[0] in ("fdr", "check-theory") else ["--geo", geo, "--pop", pop, "--cas", cas]
+    flags = [arg for item in settings for arg in ("--set", item)]
+    assert main([*flags, *argv, *files]) == EXIT_INPUT
+    key = settings[0].partition("=")[0]
+    assert f"does not read the settings key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["p999,abc", "p999", "p999,0"])
+def test_fdr_bad_pvalue_row_is_an_input_error(tmp_path, capsys, row):
+    inp = tmp_path / "p.csv"
+    inp.write_text(f"period,p\nt0,0.5\n{row}\n")
+    assert main(["fdr", "--input", str(inp)]) == EXIT_INPUT
+    assert f"{inp}:3:" in capsys.readouterr().err
+
+
+def test_readme_lists_the_settings_keys_of_every_command():
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.+) \|$", README.read_text(), flags=re.M)
+    documented = {command: re.findall(r"`([^`]+)`", keys) for command, keys in rows}
+    declared = {name: list(p.get_default("settings")) for name, p in _subcommands().items()}
+    assert documented == declared
 
 
 @pytest.mark.parametrize("argv", [

@@ -70,8 +70,6 @@ def test_mixture_methods_agree():
 def test_mixture_quadrature_restrictions():
     with pytest.raises(ValueError, match="single component"):
         mixture_tail(3, 0.0, [1.0, 2.0], np.eye(2) * 0.1, method="quadrature")
-    with pytest.raises(ValueError, match="64"):
-        mixture_tail(3, 0.0, [1.0], [[0.1]], method="quadrature", quad_nodes=10)
     with pytest.raises(ValueError, match="unknown method"):
         mixture_tail(3, 0.0, [1.0], [[0.1]], method="saddlepoint")
 
@@ -126,9 +124,10 @@ def test_remainder_zero_without_mixing():
 
 
 def test_remainder_decay_quadrature():
-    setup = TailSetup(beta=0.0, populations=(5.0,), sigma_mat=(1.0,), k=9,
-                      method="quadrature")
+    # one component: checked by quadrature
+    setup = TailSetup(beta=0.0, populations=(5.0,), sigma_mat=(1.0,), k=9)
     out = verify_prop2(setup, n_grid=(100, 1000, 10_000))
+    assert out["setup"]["method"] == "quadrature"
     rows = out["rows"]
     assert rows[0]["remainder"] > rows[1]["remainder"] > rows[2]["remainder"]
     assert out["loglog_slope"] <= -1.25
@@ -142,15 +141,17 @@ def test_remainder_decay_monte_carlo_correlated():
            0.3, 0.9, 0.2,
            0.1, 0.2, 0.7)
     setup = TailSetup(beta=-1.0, populations=(4.0, 7.0, 6.0), sigma_mat=sig,
-                      k=12, method="monte_carlo", n_samples=400_000, seed=7)
+                      k=12, n_samples=400_000, seed=7)
     out = verify_prop2(setup, n_grid=(30, 300, 3000))
+    assert out["setup"]["method"] == "monte_carlo"
     rows = out["rows"]
     assert rows[0]["remainder"] > rows[1]["remainder"] > rows[2]["remainder"]
 
 
 def test_verify_prop2_flags_noisy_monte_carlo():
-    setup = TailSetup(beta=0.0, populations=(5.0,), sigma_mat=(1.0,), k=9,
-                      method="monte_carlo", n_samples=200, seed=0)
+    # two components: checked by Monte Carlo
+    setup = TailSetup(beta=0.0, populations=(2.5, 2.5), sigma_mat=(1.0, 0.5, 0.5, 1.0),
+                      k=9, n_samples=200, seed=0)
     with pytest.raises(RuntimeError, match="n_samples"):
         verify_prop2(setup, n_grid=(100, 1000, 10_000))
 
