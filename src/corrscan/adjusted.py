@@ -11,7 +11,7 @@ import numpy as np
 
 from .matern import MaternParams, CovFactor, cholesky, matern_cov, simulate_grf
 from .mcmc import McmcConfig, PriorSpec, TooFewRegionsError, fit_model2, posterior_means
-from .region import InputError, StudyRegion, WindowSet
+from .region import StudyRegion, WindowSet, _check_real, _check_whole
 from .scan import llr_star_batch, mc_pvalue, model1_simulator, rank_pvalue, scan
 
 __all__ = [
@@ -22,6 +22,8 @@ __all__ = [
     "adjusted_scan",
     "train_test_adjusted_scan",
 ]
+
+ALPHA_SCREEN = 0.1  # default level at which a cluster is screened out of the fit
 
 
 def simulate_model2_counts(populations, beta, factor: CovFactor, seed=None, size=1,
@@ -58,8 +60,7 @@ def recentered_intercept(y_g_obs, populations, cov_diag):
 @dataclass(frozen=True)
 class AdjustedScanConfig:
     prior: PriorSpec
-    nu: float = 1.0
-    alpha_screen: float = 0.1
+    alpha_screen: float = ALPHA_SCREEN
     M: int = 999
     max_iter: int = 5
     mcmc: McmcConfig = field(default_factory=McmcConfig)
@@ -67,8 +68,9 @@ class AdjustedScanConfig:
     max_window_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.M < 99:
-            raise InputError(f"M must be >= 99 for the adjusted procedure, got {self.M}")
+        _check_real("alpha_screen", self.alpha_screen, lambda a: 0 < a <= 1, "a number in (0, 1]")
+        _check_whole("M", self.M, 99)
+        _check_whole("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -99,12 +101,12 @@ def _clusters_of(result):
     """Primary plus secondaries as (cluster, llr) pairs, highest llr first."""
     if result.primary is None:
         return []
-    out = [(result.primary, result.primary_llr)]
+    out = [(result.primary, result.llr_star)]
     out.extend((c, llr) for c, llr, _, _ in result.secondaries)
     return out
 
 
-def _screen(clusters, reference, alpha):
+def _screen(clusters, reference, alpha=ALPHA_SCREEN):
     """Member tuples of the clusters whose rank p-value against ``reference``
     is at most ``alpha``."""
     return {c.members for c, llr in clusters if rank_pvalue(llr, reference) <= alpha}
@@ -124,14 +126,14 @@ def _fit_regions(screened, m):
     return excluded, kept
 
 
-def _fitted_reference(dm, sigma, rho, nu):
-    """Reference sampler under the mixed model fitted at (sigma, rho, nu).
+def _fitted_reference(dm, sigma, rho):
+    """Reference sampler under the mixed model fitted at (sigma, rho).
 
     The field's covariance factor is built once (sigma floored at 1e-8).
     ``sample(populations, y_g, windows, rng, M, region_ids)`` re-centres the
     intercept so the expected total is ``y_g``, draws M datasets and returns
     their max statistics with the simulation parameters."""
-    params = MaternParams(sigma=max(sigma, 1e-8), rho=rho, nu=nu)
+    params = MaternParams(sigma=max(sigma, 1e-8), rho=rho)
     cov = matern_cov(dm, params)
     factor = cholesky(cov)
     diag = np.diag(cov)
@@ -174,10 +176,9 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
         excluded, fit_regions = _fit_regions(significant, sr.m)
         sub_dm = dm[np.ix_(fit_regions, fit_regions)]
         fit = fit_model2(y[fit_regions], n[fit_regions], sub_dm, config.prior,
-                         nu=config.nu, config=config.mcmc,
-                         seed=rng.integers(2**63))
+                         config=config.mcmc, seed=rng.integers(2**63))
         beta_hat, sigma_hat, rho_hat, rho_grid = posterior_means(fit)
-        reference, sim_info = _fitted_reference(dm, sigma_hat, rho_grid, config.nu)(
+        reference, sim_info = _fitted_reference(dm, sigma_hat, rho_grid)(
             n, y.sum(), windows, rng, config.M, sr.ids)
         adjusted = tuple((c, llr, rank_pvalue(llr, reference)) for c, llr in clusters)
         new_significant = _screen(clusters, reference, config.alpha_screen)
@@ -224,10 +225,10 @@ def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_peri
     rng = np.random.default_rng(config.seed)
     y_train = sr.period_cases(train_period)
     n_train = sr.period_populations(train_period)
-    fit = fit_model2(y_train, n_train, dm, config.prior, nu=config.nu,
-                     config=config.mcmc, seed=rng.integers(2**63))
+    fit = fit_model2(y_train, n_train, dm, config.prior, config=config.mcmc,
+                     seed=rng.integers(2**63))
     beta_hat, sigma_hat, rho_hat, rho_grid = posterior_means(fit)
-    sample = _fitted_reference(np.asarray(dm), sigma_hat, rho_grid, config.nu)
+    sample = _fitted_reference(np.asarray(dm), sigma_hat, rho_grid)
 
     results = []
     for period in test_periods:

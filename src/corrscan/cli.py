@@ -28,8 +28,7 @@ from .harness import (
     write_run,
 )
 from .matern import NotPositiveDefiniteError
-from .mcmc import (ChainDivergenceError, McmcConfig, PriorSpec, TooFewRegionsError,
-                   ZeroCountsError, fit_model2)
+from .mcmc import ChainDivergenceError, McmcConfig, PriorSpec, fit_model2
 from .region import (InputError, _parse_lines, distance_matrix, enumerate_windows,
                      load_study_region)
 from .scan import mc_pvalue, scan
@@ -111,7 +110,7 @@ def cmd_fit(args, cfg):
     dm = distance_matrix(sr)
     y = sr.period_cases(args.period)
     n = sr.period_populations(args.period)
-    fit = fit_model2(y, n, dm, PriorSpec(args.rho_upper), nu=args.nu,
+    fit = fit_model2(y, n, dm, PriorSpec(args.rho_upper),
                      config=McmcConfig(**cfg.get("mcmc", {})), seed=args.seed)
     _emit(fit.summary(), args.out)
     if args.strict and fit.warnings:
@@ -122,7 +121,6 @@ def cmd_fit(args, cfg):
 def _adjusted_config(args, cfg):
     return AdjustedScanConfig(
         prior=PriorSpec(args.rho_upper),
-        nu=args.nu,
         M=args.mc_size,
         mcmc=McmcConfig(**cfg.get("mcmc", {})),
         seed=args.seed,
@@ -153,9 +151,8 @@ def _experiment_config(args, cfg, mode):
     chain = {"mcmc": McmcConfig(**cfg["mcmc"])} if "mcmc" in cfg else {}
     return ExperimentConfig(
         beta=args.beta,
-        sigma_grid=tuple(cfg.get("sigma_grid", [args.sigma])),
-        rho_grid=tuple(cfg.get("rho_grid", [args.rho])),
-        nu=args.nu,
+        sigma_grid=cfg.get("sigma_grid", [args.sigma]),
+        rho_grid=cfg.get("rho_grid", [args.rho]),
         replicates=args.replicates,
         mc_size=args.mc_size,
         mode=mode,
@@ -166,11 +163,11 @@ def _experiment_config(args, cfg, mode):
 
 
 def _study(args, cfg, mode, study):
+    ecfg = _experiment_config(args, cfg, mode)
     if args.geo:
         sr = load_study_region(args.geo, args.pop, args.cas)
     else:
         sr = synth_geometry(args.m, seed=args.seed or 0)
-    ecfg = _experiment_config(args, cfg, mode)
     table = study(sr, ecfg)
     manifest = {"config": json.loads(json.dumps(ecfg.__dict__, default=str)),
                 "rows": table.rows}
@@ -225,11 +222,9 @@ def cmd_fdr(args, cfg):
 
 def cmd_check_theory(args, cfg):
     report = {"checks": []}
-    beta = cfg.get("beta", 0.0)
-    populations = cfg.get("populations", [5.0])
-    setup = theory.TailSetup(beta=beta, populations=tuple(populations),
-                             sigma_mat=tuple(cfg.get("sigma_mat", [1.0])),
-                             k=cfg.get("k", 9), seed=args.seed)
+    setup = theory.TailSetup(beta=cfg.get("beta", 0.0), populations=cfg.get("populations", [5.0]),
+                             sigma_mat=cfg.get("sigma_mat", [1.0]), k=cfg.get("k", 9),
+                             seed=args.seed)
     res = theory.verify_prop2(setup, **_given(cfg, "n_grid"))
     report["checks"].append({
         "name": "second_order_tail_expansion",
@@ -243,9 +238,8 @@ def cmd_check_theory(args, cfg):
         for lam in (1, 2, 5, 10, 20) for k in range(2, 41)
         for corr in [theory.prop2_correction(k, lam, 0.0, 1.0, 100)])
     report["checks"].append({"name": "correction_sign_condition", "pass": sign_ok})
-    k_star, _ = theory.heavier_tail_onset(
-        beta, populations, np.reshape(cfg.get("sigma_mat", [0.04]), (len(populations),) * 2),
-        seed=args.seed or 0)
+    k_star, _ = theory.heavier_tail_onset(setup.beta, setup.populations, np.reshape(
+        cfg.get("sigma_mat", [0.04]), (len(setup.populations),) * 2), seed=args.seed or 0)
     report["checks"].append({"name": "heavier_tail_onset_exists",
                              "k_star": k_star, "pass": k_star is not None})
     report["all_pass"] = all(c["pass"] for c in report["checks"])
@@ -289,7 +283,6 @@ def build_parser():
 
     def add_model_args(p):
         p.add_argument("--rho-upper", dest="rho_upper", type=int, default=70)
-        p.add_argument("--nu", type=float, default=1.0)
         p.add_argument("--mc-size", dest="mc_size", type=int, default=999)
 
     p = sub.add_parser("scan", help="classical scan with Monte Carlo p-value")
@@ -358,8 +351,7 @@ def main(argv=None):
         cfg = _load_config(args)
         _check_settings(cfg, args.command, args.settings)
         return args.func(args, cfg)
-    except (InputError, FileNotFoundError, json.JSONDecodeError, ZeroCountsError,
-            TooFewRegionsError) as exc:
+    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NotPositiveDefiniteError, ChainDivergenceError, OverflowError,

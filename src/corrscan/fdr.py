@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
+from .region import InputError, _check_whole
+
 __all__ = [
     "FdrModel",
     "FittedDensity",
@@ -73,8 +75,7 @@ def natural_spline_basis(x, knots):
 def poisson_spline_fit(x, counts, df):
     """Poisson regression of counts on a natural-spline basis in x, by IRLS."""
     counts = np.asarray(counts, dtype=float)
-    if df < 3:
-        raise ValueError("spline_df must be >= 3")
+    _check_whole("spline_df", df, 3)
     knots = np.quantile(x, np.linspace(0, 1, df))
     if len(np.unique(knots)) < df:
         knots = np.linspace(x.min(), x.max(), df)
@@ -117,11 +118,11 @@ def fit_empirical_density(z, bins=None, spline_df=5) -> FittedDensity:
     """Histogram + Poisson natural-spline smooth, normalized to a density."""
     z = np.asarray(z, dtype=float)
     if len(z) < 30:
-        raise ValueError("need at least 30 z-values to fit a density")
+        raise InputError("need at least 30 z-values to fit a density")
     if len(z) < 100:
         warnings.warn("fewer than 100 z-values: density fit may be unstable")
     if np.ptp(z) == 0:
-        raise ValueError("degenerate input: all z-values identical")
+        raise InputError("degenerate input: all z-values identical")
     bins = bins or default_bins(len(z))
     edges = np.linspace(z.min() - 0.5, z.max() + 0.5, bins + 1)
     counts, _ = np.histogram(z, bins=edges)

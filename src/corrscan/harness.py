@@ -26,7 +26,8 @@ from .fdr import fit_fdr_model, nudge_boundary_p, p_to_z
 from .matern import MaternParams, NotPositiveDefiniteError, cholesky, matern_cov
 from .mcmc import (ChainDivergenceError, McmcConfig, PriorSpec, TooFewRegionsError,
                    ZeroCountsError, fit_model2)
-from .region import InputError, StudyRegion, distance_matrix, enumerate_windows
+from .region import (InputError, StudyRegion, _check_whole, _real_tuple, distance_matrix,
+                     enumerate_windows)
 from .scan import llr_star_batch, model1_simulator, rank_pvalue, scan
 
 __all__ = [
@@ -55,7 +56,6 @@ class ExperimentConfig:
     beta: float
     sigma_grid: tuple
     rho_grid: tuple
-    nu: float = 1.0
     replicates: int = 200
     mc_size: int = 199
     mode: str = "classical"
@@ -65,12 +65,11 @@ class ExperimentConfig:
         n_iter=2_000, burn_in=500, thin=3))
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise InputError(f"replicates must be >= 1, got {self.replicates}")
-        if self.mc_size < 19:
-            raise InputError(f"mc_size must be >= 19, got {self.mc_size}")
-        if not self.sigma_grid or not self.rho_grid:
-            raise InputError("grids must be nonempty")
+        _check_whole("replicates", self.replicates, 1)
+        _check_whole("mc_size", self.mc_size, 19)
+        for name in ("sigma_grid", "rho_grid"):
+            grid = _real_tuple(name, getattr(self, name), lambda v: v >= 0, "numbers >= 0")
+            object.__setattr__(self, name, grid)
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -120,8 +119,7 @@ class ProportionTable:
 def synth_geometry(m, seed=None, pop_log_mean=10.0, pop_log_sd=1.0) -> StudyRegion:
     """Uniform random centroids in the square [8, 162]^2 with lognormal
     populations, as one period labelled "all"."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_whole("m", m, 1)
     rng = np.random.default_rng(seed)
     x0, x1, y0, y1 = 8.0, 162.0, 8.0, 162.0
     xs = rng.uniform(x0, x1, m)
@@ -164,7 +162,7 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
         for rho in cfg.rho_grid:
             factor = None
             if sigma > 0 and rho > 0:
-                factor = cholesky(matern_cov(dm, MaternParams(sigma=sigma, rho=rho, nu=cfg.nu)))
+                factor = cholesky(matern_cov(dm, MaternParams(sigma=sigma, rho=rho)))
             pvals = []
             dropped_by = Counter()
             streams = master.spawn(cfg.replicates)
@@ -219,12 +217,12 @@ def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, rng, rn
     # make this mode indistinguishable from adjusted_true_params.
     screen = llr_star_batch(null(rng_fit, cfg.mc_size), n, windows)
     clusters = _clusters_of(scan(sr, windows, counts=counts))
-    _, fit_idx = _fit_regions(_screen(clusters, screen, 0.1), sr.m)
+    _, fit_idx = _fit_regions(_screen(clusters, screen), sr.m)
     sub = np.ix_(fit_idx, fit_idx)
-    fit = fit_model2(counts[fit_idx], n[fit_idx], dm[sub], prior, nu=cfg.nu,
-                     config=cfg.mcmc, seed=rng_fit.integers(2**63))
+    fit = fit_model2(counts[fit_idx], n[fit_idx], dm[sub], prior, config=cfg.mcmc,
+                     seed=rng_fit.integers(2**63))
     j = int(rng_fit.integers(len(fit.sigma)))
-    sample = _fitted_reference(dm, float(fit.sigma[j]), float(fit.rho[j]), cfg.nu)
+    sample = _fitted_reference(dm, float(fit.sigma[j]), float(fit.rho[j]))
     return sample(n, counts.sum(), windows, rng, cfg.mc_size, sr.ids)[0]
 
 

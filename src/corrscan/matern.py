@@ -7,7 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf
-from scipy.special import gamma as _gamma, k1 as _k1, kv as _kv
+from scipy.special import k1 as _k1
+
+from .region import _check_real
 
 __all__ = [
     "MaternParams",
@@ -23,17 +25,14 @@ JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
 @dataclass(frozen=True)
 class MaternParams:
-    """Marginal std. dev. sigma, range rho (map units), smoothness nu."""
+    """Marginal std. dev. sigma and range rho (map units); the smoothness is 1."""
 
     sigma: float
     rho: float
-    nu: float = 1.0
 
     def __post_init__(self):
-        for name in ("sigma", "rho", "nu"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+        _check_real("sigma", self.sigma, lambda v: v > 0, "a positive number")
+        _check_real("rho", self.rho, lambda v: v > 0, "a positive number")
 
 
 class NotPositiveDefiniteError(LinAlgError):
@@ -47,19 +46,15 @@ class NotPositiveDefiniteError(LinAlgError):
 
 
 def matern_cov(d, p: MaternParams):
-    """Matérn covariance at distance(s) d >= 0, elementwise over an array.
-
-    Standard form: sigma^2 / (2^(nu-1) Gamma(nu)) * (d/rho)^nu * K_nu(d/rho),
-    with value sigma^2 at d = 0.
+    """Matérn covariance with smoothness 1 at distance(s) d >= 0, elementwise
+    over an array: sigma^2 (d/rho) K_1(d/rho), with value sigma^2 at d = 0.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("distances must be nonnegative")
     u = d / p.rho
-    scale = p.sigma**2 / (2 ** (p.nu - 1) * _gamma(p.nu))
     with np.errstate(invalid="ignore"):
-        c = (scale * u * _k1(u) if p.nu == 1.0  # K_1 has a much faster routine than kv
-             else scale * u**p.nu * _kv(p.nu, u))
+        c = p.sigma**2 * u * _k1(u)
     c = np.where(d == 0, p.sigma**2, c)
     return float(c) if c.ndim == 0 else c
 

@@ -1,12 +1,12 @@
 """Bayesian fit of the spatial Poisson mixed model by Gibbs sampling.
 
 Counts are Poisson with log-rate = beta + log(population) + Z, where Z is a
-zero-mean Gaussian field with Matérn covariance sigma^2 R(rho).  Priors:
-flat on beta, flat on sigma > 0, uniform over an integer grid 1..U for rho.
-Each iteration updates the whole field by one elliptical slice step under
-its Gaussian prior, draws beta, sigma and rho exactly from their full
-conditionals (two gamma draws and a draw over the grid, using
-correlation-matrix factors precomputed once per geometry), and adds two
+zero-mean Gaussian field with Matérn covariance sigma^2 (d/rho) K_1(d/rho): the
+smoothness is fixed at 1.  Priors: flat on beta, flat on sigma > 0, uniform
+over an integer grid 1..U for rho.  Each iteration updates the whole field by
+one elliptical slice step under its Gaussian prior, draws beta, sigma and rho
+exactly from their full conditionals (two gamma draws and a draw over the grid,
+using correlation-matrix factors precomputed once per geometry), and adds two
 adaptive joint moves that shift and scale the field against beta and sigma.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, blas, lapack
 
 from .matern import MaternParams, cholesky, matern_cov
-from .region import InputError
+from .region import InputError, _check_whole
 
 __all__ = [
     "PriorSpec",
@@ -42,9 +42,7 @@ class PriorSpec:
     rho_upper: int
 
     def __post_init__(self):
-        if int(self.rho_upper) < 2:
-            raise InputError(f"rho_upper must be >= 2, got {self.rho_upper}")
-        object.__setattr__(self, "rho_upper", int(self.rho_upper))
+        _check_whole("rho_upper", self.rho_upper, 2)
 
     @property
     def rho_grid(self):
@@ -58,21 +56,22 @@ class McmcConfig:
     thin: int = 10
 
     def __post_init__(self):
+        _check_whole("n_iter", self.n_iter, 1)
+        _check_whole("burn_in", self.burn_in, 0)
+        _check_whole("thin", self.thin, 1)
         if self.burn_in >= self.n_iter:
             raise InputError(f"burn_in ({self.burn_in}) must be < n_iter ({self.n_iter})")
-        if self.thin < 1:
-            raise InputError(f"thin must be >= 1, got {self.thin}")
 
 
 class ChainDivergenceError(RuntimeError):
     """sigma drifted far above its running median for too long (improper posterior?)."""
 
 
-class TooFewRegionsError(ValueError):
+class TooFewRegionsError(InputError):
     """Fewer than 5 regions to fit the mixed model on."""
 
 
-class ZeroCountsError(ValueError):
+class ZeroCountsError(InputError):
     """Every count in the fit set is zero, so the intercept is not identifiable."""
 
 
@@ -84,7 +83,7 @@ class RhoGridFactors:
     with off-diagonals doubled (``packed``, read by :meth:`quad_forms`), and
     R^{-1} 1 (``rinv_one``) from two triangular solves."""
 
-    def __init__(self, dm, prior: PriorSpec, nu: float):
+    def __init__(self, dm, prior: PriorSpec):
         dm = np.asarray(dm, dtype=float)
         m = dm.shape[0]
         grid = prior.rho_grid
@@ -96,7 +95,7 @@ class RhoGridFactors:
         self.rinv_one = np.empty((len(grid), m))
         self.chol = []
         below = np.tril_indices(m, -1)
-        corr = matern_cov(dm[below] / grid[:, None], MaternParams(sigma=1.0, rho=1.0, nu=nu))
+        corr = matern_cov(dm[below] / grid[:, None], MaternParams(sigma=1.0, rho=1.0))
         r = np.eye(m)  # cholesky's dpotrf(lower=1) reads only the lower triangle
         for g in range(len(grid)):
             r[below] = corr[g]
@@ -128,7 +127,6 @@ class ModelIIFit:
     ess: dict
     config: McmcConfig
     prior: PriorSpec
-    nu: float
     seed: object
     warnings: tuple = ()
 
@@ -164,7 +162,6 @@ class ModelIIFit:
                 "thin": self.config.thin,
                 "seed": self.seed,
                 "rho_upper": self.prior.rho_upper,
-                "nu": self.nu,
             },
             "acceptance": self.acceptance,
             "ess": self.ess,
@@ -248,8 +245,8 @@ def _gibbs_sigma(quad, m, rng):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing rate is a rejection
-def fit_model2(y, n, dm, prior: PriorSpec, nu=1.0, config: McmcConfig | None = None,
-               seed=None, rho_factors: RhoGridFactors | None = None) -> ModelIIFit:
+def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
+               seed=None) -> ModelIIFit:
     """Run the Gibbs chain; deterministic given seed."""
     y = np.asarray(y, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -261,7 +258,7 @@ def fit_model2(y, n, dm, prior: PriorSpec, nu=1.0, config: McmcConfig | None = N
         raise ZeroCountsError("all counts are zero: intercept not identifiable under a flat prior")
     config = config or McmcConfig()
     rng = np.random.default_rng(seed)
-    fac = rho_factors or RhoGridFactors(dm, prior, nu)
+    fac = RhoGridFactors(dm, prior)
     grid = fac.grid
     rinv_total = fac.rinv_one.sum(axis=1)  # 1' R^{-1} 1 per grid point
 
@@ -391,7 +388,6 @@ def fit_model2(y, n, dm, prior: PriorSpec, nu=1.0, config: McmcConfig | None = N
         ess=ess,
         config=config,
         prior=prior,
-        nu=nu,
         seed=seed,
         warnings=tuple(warnings),
     )

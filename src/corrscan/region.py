@@ -30,6 +30,29 @@ class InputError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+def _check_real(name, value, ok=lambda v: True, wanted="a finite number",
+                kind=(int, float, np.integer, np.floating)):
+    """Raise :class:`InputError` naming ``name`` unless ``value`` is a finite
+    number of ``kind`` (never a bool) for which ``ok`` holds."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not (
+            np.isfinite(value) and ok(value)):
+        raise InputError(f"{name} must be {wanted}, got {value!r}")
+
+
+def _check_whole(name, value, least):
+    """:func:`_check_real` for a whole number (an int) of at least ``least``."""
+    _check_real(name, value, lambda v: v >= least, f"a whole number >= {least}", (int, np.integer))
+
+
+def _real_tuple(name, values, ok=lambda v: True, wanted="finite numbers"):
+    """``values`` as a tuple: a nonempty list or tuple of numbers passing :func:`_check_real`."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise InputError(f"{name} must be a nonempty list of {wanted}, got {values!r}")
+    for v in values:
+        _check_real(name, v, ok, f"a list of {wanted}")
+    return tuple(values)
+
+
 def _parse_lines(path):
     """Yield (lineno, fields) for every non-comment, non-blank line."""
     with open(path) as fh:
@@ -114,7 +137,6 @@ class StudyRegion:
 
     def total_cases(self, period=None):
         return int(self.period_cases(period).sum())
-
 
 
 def load_study_region(geo_file, pop_file, cas_file):
@@ -284,8 +306,7 @@ def enumerate_windows(sr: StudyRegion, dm: np.ndarray, max_fraction: float = 0.5
     geometry is enumerated once.  Duplicate member sets are dropped, keeping
     the first in (center, prefix length) order.
     """
-    if not 0 < max_fraction <= 1:
-        raise ValueError("max_fraction must be in (0, 1]")
+    _check_real("max_window_fraction", max_fraction, lambda f: 0 < f <= 1, "a number in (0, 1]")
     m = sr.m
     pop = sr.populations.sum(axis=0)
     cap = max_fraction * pop.sum()

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .region import CandidateCluster, InputError, StudyRegion, WindowSet
+from .region import CandidateCluster, InputError, StudyRegion, WindowSet, _check_whole
 
 __all__ = [
     "ScanResult",
@@ -73,7 +73,6 @@ class ScanResult:
 
     llr_star: float
     primary: CandidateCluster | None
-    primary_llr: float
     primary_y: int
     primary_n: float
     secondaries: tuple  # of (cluster, llr, y_c, n_c)
@@ -102,7 +101,7 @@ class ScanResult:
             "M": self.mc_size,
             "primary": None
             if self.primary is None
-            else cluster_dict(self.primary, self.primary_llr, self.primary_y, self.primary_n),
+            else cluster_dict(self.primary, self.llr_star, self.primary_y, self.primary_n),
             "secondaries": [cluster_dict(c, llr, y, n) for c, llr, y, n in self.secondaries],
         }
 
@@ -196,7 +195,7 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
     y = _as_counts(counts if counts is not None else sr.period_cases(period), sr.m)
     y_g = int(y.sum())
     if y_g == 0:
-        return ScanResult(0.0, None, 0.0, 0, 0.0, ())
+        return ScanResult(0.0, None, 0, 0.0, ())
     kernel, n_c = _llr_kernel(sr.period_populations(period), windows)
     llr, y_c = kernel(y)
     llr, y_c = np.maximum(llr[:, 0], 0.0), y_c[:, 0]
@@ -219,7 +218,6 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
     return ScanResult(
         llr_star=float(llr[primary]),
         primary=windows[primary],
-        primary_llr=float(llr[primary]),
         primary_y=int(y_c[primary]),
         primary_n=float(n_c[primary]),
         secondaries=tuple(secondaries),
@@ -266,8 +264,7 @@ def mc_pvalue(observed_llr, sr: StudyRegion, windows: WindowSet, M=999,
               seed=None, period=None):
     """Rank-based Monte Carlo p-value r/(M+1) against the conditional Model I
     null of :func:`model1_simulator` for ``period``."""
-    if M < 1:
-        raise InputError(f"Monte Carlo size M must be >= 1, got {M}")
+    _check_whole("M", M, 1)
     sims = llr_star_batch(model1_simulator(sr, period)(np.random.default_rng(seed), M),
                           sr.period_populations(period), windows)
     return rank_pvalue(observed_llr, sims)

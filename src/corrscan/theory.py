@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .matern import cholesky, simulate_grf
+from .region import InputError, _check_real, _check_whole, _real_tuple
 
 __all__ = [
     "poisson_tail",
@@ -31,11 +32,8 @@ _QUAD_NODES = 201  # Gauss-Hermite nodes of the single-component quadrature
 
 def poisson_tail(k, lam):
     """Pr(Poisson(lam) >= k) via the regularized lower incomplete gamma."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_real("lam", lam, lambda v: v > 0, "a positive number")
+    _check_whole("k", k, 0)
     if k == 0:
         return 1.0
     return float(gammainc(k, lam))
@@ -47,31 +45,27 @@ def poisson_pmf(k, lam):
     return float(out) if out.ndim == 0 else out
 
 
-def mixture_tail(k, beta, populations, sigma_mat, method="monte_carlo",
-                 n_samples=100_000, seed=None):
+def mixture_tail(k, beta, populations, sigma_mat, n_samples=100_000, seed=None):
     """Tail probability of the total count under the lognormal rate mixture.
 
-    Returns (estimate, standard_error).  The quadrature path requires a
-    single aggregated component (exactly lognormal rate); the Monte Carlo
-    path handles arbitrary PSD covariance over the components.
+    Returns (estimate, standard_error).  A single component has an exactly
+    lognormal rate and is integrated by Gauss-Hermite quadrature (standard
+    error 0); more components, under any PSD covariance, are averaged over
+    ``n_samples`` Monte Carlo field draws.
     """
     n = np.atleast_1d(np.asarray(populations, dtype=float))
     sig = np.atleast_2d(np.asarray(sigma_mat, dtype=float))
     if sig.shape != (len(n), len(n)):
         raise ValueError("covariance shape must match populations")
-    if np.allclose(sig, 0):
+    if not sig.any():
         return poisson_tail(k, math.exp(beta) * n.sum()), 0.0
-    if method == "quadrature":
-        if len(n) != 1:
-            raise ValueError("quadrature path handles a single component only")
+    if len(n) == 1:
         s = math.sqrt(sig[0, 0])
         x, w = np.polynomial.hermite_e.hermegauss(_QUAD_NODES)
         w = w / math.sqrt(2 * math.pi)
         lam = math.exp(beta) * n[0] * np.exp(s * x)
         vals = np.array([poisson_tail(k, l) for l in lam])
         return float(w @ vals), 0.0
-    if method != "monte_carlo":
-        raise ValueError(f"unknown method {method!r}")
     return _mc_tail(k, _total_rates(beta, n, _field_draws(sig, n_samples, seed)))
 
 
@@ -100,9 +94,7 @@ def _mc_tail(k, lam):
 
 def prop2_correction(k, lambda_bar, beta, v_n, n):
     """Second-order tail-excess term; sign equals sign(k - lambda_bar - 1)."""
-    k = int(k)
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    _check_whole("k", k, 2)
     # pmf(k-2) - pmf(k-1) written as pmf(k-2) * (1 - lambda/(k-1)) so the
     # boundary case k = lambda + 1 is exactly zero
     diff = poisson_pmf(k - 2, lambda_bar) * (1.0 - lambda_bar / (k - 1))
@@ -119,35 +111,40 @@ class TailSetup:
 
     beta: float
     populations: tuple
-    sigma_mat: tuple  # nested tuple, row-major
+    sigma_mat: tuple  # len(populations)**2 entries, row-major
     k: int
     n_samples: int = 400_000
-    seed: object = None
+    seed: int | None = None
+
+    def __post_init__(self):
+        _check_real("beta", self.beta)
+        _check_whole("k", self.k, 2)
+        m = len(_real_tuple("populations", self.populations, lambda v: v > 0, "positive numbers"))
+        if len(_real_tuple("sigma_mat", self.sigma_mat)) != m * m:
+            raise InputError(f"sigma_mat must hold {m * m} entries for {m} populations, "
+                             f"got {len(self.sigma_mat)}")
 
 
 def verify_prop2(setup: TailSetup, n_grid=(100, 1000, 10_000)):
     """Remainder-vs-n report for the second-order tail expansion.
 
-    One component is checked by Gauss-Hermite quadrature, more by Monte Carlo
-    over ``setup.n_samples`` field draws, shared across the n grid (common
-    random numbers) so the remainder decay is not drowned by noise.
+    The mixture tail comes from :func:`mixture_tail`: quadrature for one
+    component, Monte Carlo over ``setup.n_samples`` field draws for more.  Every
+    n draws from the same seed (common random numbers), so the remainder decay
+    is not drowned by noise.
     """
+    _real_tuple("n_grid", n_grid, lambda v: v > 0, "positive numbers")
     pops = np.asarray(setup.populations, dtype=float)
     sig0 = np.asarray(setup.sigma_mat, dtype=float).reshape(len(pops), len(pops))
     v_n = float(pops @ sig0 @ pops)
-    method = "quadrature" if len(pops) == 1 else "monte_carlo"
-    if method == "monte_carlo":
-        base = _field_draws(sig0, setup.n_samples, setup.seed)
+    seed = np.random.SeedSequence(setup.seed)
 
     rows = []
     for n in n_grid:
         sig = sig0 / n
         lam_bar = _lambda_bar(setup.beta, pops, sig)
         p1 = poisson_tail(setup.k, lam_bar)
-        if method == "quadrature":
-            p2, se = mixture_tail(setup.k, setup.beta, pops, sig, method="quadrature")
-        else:
-            p2, se = _mc_tail(setup.k, _total_rates(setup.beta, pops, base / math.sqrt(n)))
+        p2, se = mixture_tail(setup.k, setup.beta, pops, sig, setup.n_samples, seed)
         corr = prop2_correction(setup.k, lam_bar, setup.beta, v_n, n)
         remainder = abs(p2 - p1 - corr)
         if se > 0 and corr != 0 and se > abs(corr) / 10:
@@ -170,7 +167,8 @@ def verify_prop2(setup: TailSetup, n_grid=(100, 1000, 10_000)):
         slope = float(np.polyfit(np.log([r["n"] for r in usable]),
                                  np.log([r["remainder"] for r in usable]), 1)[0])
     return {"rows": rows, "loglog_slope": slope, "v_n": v_n,
-            "setup": {"beta": setup.beta, "k": setup.k, "method": method}}
+            "setup": {"beta": setup.beta, "k": setup.k,
+                      "method": "quadrature" if len(pops) == 1 else "monte_carlo"}}
 
 
 def heavier_tail_onset(beta, populations, sigma_mat, seed=None, n_samples=400_000):

@@ -72,7 +72,7 @@ def false_alarm_proportions(geometry):
     out = {}
     for mode in ("classical", "adjusted_true_params", "adjusted_fitted"):
         cfg = ExperimentConfig(
-            beta=beta, sigma_grid=(0.1,), rho_grid=(50.0,), nu=1.0,
+            beta=beta, sigma_grid=(0.1,), rho_grid=(50.0,),
             replicates=200, mc_size=199, mode=mode, seed=MASTER_SEED,
             rho_upper=70, mcmc=STUDY_MCMC)
         fn = type1_study if mode == "classical" else adjusted_study
@@ -154,10 +154,8 @@ def test_criterion_8_mixed_model_calibration(capsys):
     sr = synth_geometry(32, seed=7, pop_log_mean=3.0, pop_log_sd=0.6)
     dm = distance_matrix(sr)
     n = sr.populations[0]
-    factor = cholesky(matern_cov(dm, MaternParams(sigma_t, rho_t, 1.0)))
+    factor = cholesky(matern_cov(dm, MaternParams(sigma_t, rho_t)))
     prior = PriorSpec(70)
-    from corrscan.mcmc import RhoGridFactors
-    rho_factors = RhoGridFactors(dm, prior, 1.0)
     cover_b = cover_s = 0
     betas = []
     rng = np.random.default_rng(2026)
@@ -167,7 +165,7 @@ def test_criterion_8_mixed_model_calibration(capsys):
         if y.sum() == 0:
             continue
         fit = fit_model2(y, n, dm, prior, config=STUDY_MCMC,
-                         seed=int(rng.integers(2**63)), rho_factors=rho_factors)
+                         seed=int(rng.integers(2**63)))
         fits += 1
         lo, hi = fit.credible_interval("beta", 0.9)
         cover_b += lo <= beta_t <= hi

@@ -28,7 +28,7 @@ FAST = McmcConfig(n_iter=1200, burn_in=400, thin=2)
 
 
 def _factor(dm, sigma, rho):
-    return cholesky(matern_cov(dm, MaternParams(sigma, rho, 1.0)))
+    return cholesky(matern_cov(dm, MaternParams(sigma, rho)))
 
 
 # ------------------------------------------------------- count simulation
@@ -90,7 +90,7 @@ def test_recentered_intercept_matches_simulation():
     sr = synth_geometry(8, seed=8)
     dm = distance_matrix(sr)
     n = sr.populations[0]
-    cov = matern_cov(dm, MaternParams(0.3, 15.0, 1.0))
+    cov = matern_cov(dm, MaternParams(0.3, 15.0))
     fac = cholesky(cov)
     y_g = 2000
     beta = recentered_intercept(y_g, n, np.diag(cov))

@@ -187,17 +187,28 @@ def test_check_theory_two_components_take_the_monte_carlo_path(capsys):
     assert main([*two, "--set", "n_grid=[10,30,100]", "check-theory"]) == EXIT_OK
 
 
-@pytest.fixture
-def no_work(monkeypatch):
-    """Fail the test if a command reads an input file or runs a chain."""
+CHAINS = (("cli", "fit_model2"), ("adjusted", "fit_model2"), ("harness", "fit_model2"))
+
+
+def _forbid(monkeypatch, names):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the settings check")
 
-    for module, name in (("cli", "load_study_region"), ("cli", "_read_pvalues"),
-                         ("cli", "synth_geometry"), ("theory", "verify_prop2"),
-                         ("cli", "fit_model2"), ("adjusted", "fit_model2"),
-                         ("harness", "fit_model2")):
+    for module, name in names:
         monkeypatch.setattr(importlib.import_module(f"corrscan.{module}"), name, forbidden)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a command reads an input file or runs a chain."""
+    _forbid(monkeypatch, (("cli", "load_study_region"), ("cli", "_read_pvalues"),
+                          ("cli", "synth_geometry"), ("theory", "verify_prop2"), *CHAINS))
+
+
+@pytest.fixture
+def no_chain(monkeypatch):
+    """Fail the test if a command runs a chain."""
+    _forbid(monkeypatch, CHAINS)
 
 
 @pytest.mark.parametrize("settings, argv", [
@@ -219,6 +230,51 @@ def test_unread_settings_key_is_an_input_error(region_files, no_work, capsys, se
     assert main([*flags, *argv, *files]) == EXIT_INPUT
     key = settings[0].partition("=")[0]
     assert f"does not read the settings key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings, argv, message", [
+    pytest.param(["mcmc.n_iter=abc"], ["fit"], "n_iter must be", id="n_iter=abc"),
+    pytest.param(["mcmc.n_iter=1e3"], ["fit"], "n_iter must be", id="n_iter=1e3"),
+    pytest.param(["mcmc.thin=1.5"], ["fit"], "thin must be", id="thin=1.5"),
+    pytest.param(["alpha_screen=abc"], ["adjusted-scan"], "alpha_screen must be",
+                 id="alpha_screen=abc"),
+    pytest.param(["max_window_fraction=2"], ["adjusted-scan"], "max_window_fraction must be",
+                 id="adjusted-scan-max_window_fraction=2"),
+    pytest.param(["max_window_fraction=2"], ["scan"], "max_window_fraction must be",
+                 id="scan-max_window_fraction=2"),
+    pytest.param(["sigma_grid=abc"], ["type1-study"], "sigma_grid must be", id="sigma_grid=abc"),
+    pytest.param(["spline_df=abc"], ["fdr", 40], "spline_df must be", id="spline_df=abc"),
+    pytest.param(["spline_df=2.5"], ["fdr", 40], "spline_df must be", id="spline_df=2.5"),
+    pytest.param([], ["fdr", 29], "at least 30", id="fdr-29-rows"),
+    pytest.param(["n_grid=[100,abc]"], ["check-theory"], "n_grid must be", id="n_grid"),
+    pytest.param(["k=abc"], ["check-theory"], "k must be", id="k=abc"),
+    pytest.param(["populations=[2.5,2.5]"], ["check-theory"],
+                 "sigma_mat must hold 4 entries for 2 populations", id="populations"),
+])
+def test_bad_settings_value_is_an_input_error(region_files, tmp_path, no_chain, capsys,
+                                              settings, argv, message):
+    geo, pop, cas = region_files
+    if argv[0] == "fdr":
+        inp = tmp_path / "p.csv"
+        inp.write_text("".join(f"t{i} {(i + 1) / 100}\n" for i in range(argv[1])))
+        argv = ["fdr", "--input", str(inp)]
+    elif argv[0] in ("fit", "adjusted-scan", "scan"):
+        argv = [*argv, "--geo", geo, "--pop", pop, "--cas", cas]
+    flags = [arg for item in settings for arg in ("--set", item)]
+    assert main([*flags, *argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "adjusted-scan", "surveil", "type1-study",
+                                     "adjusted-study"])
+def test_the_smoothness_flag_is_gone(command, capsys):
+    files = [] if "study" in command else ["--geo", "g", "--pop", "p", "--cas", "c"]
+    period = ["--train-period", "0"] if command == "surveil" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, *period, "--nu", "1"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --nu 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row", ["p999,abc", "p999", "p999,0"])

@@ -1,11 +1,9 @@
 """Matérn covariance, Cholesky factorization with jitter, GRF simulation."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gamma, kv
+from scipy.special import kv
 from scipy.stats import kstest
 
 from corrscan import MaternParams, cholesky, matern_cov, simulate_grf
@@ -18,61 +16,37 @@ mpmath = pytest.importorskip("mpmath")
 
 def test_zero_distance_is_variance():
     for sigma in (0.1, 1.0, 3.0):
-        p = MaternParams(sigma=sigma, rho=5.0, nu=1.0)
+        p = MaternParams(sigma=sigma, rho=5.0)
         assert matern_cov(0.0, p) == sigma**2
-
-
-def test_exponential_special_case():
-    # nu = 1/2 reduces to sigma^2 exp(-d/rho)
-    p = MaternParams(sigma=1.0, rho=2.0, nu=0.5)
-    assert matern_cov(2.0, p) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    p2 = MaternParams(sigma=2.0, rho=3.0, nu=0.5)
-    assert matern_cov(4.5, p2) == pytest.approx(4.0 * math.exp(-1.5), rel=1e-12)
 
 
 def test_nu_one_reference_value():
     # (d/rho) K_1(d/rho) at d/rho = 1: K_1(1) = 0.6019072301972346
-    p = MaternParams(sigma=1.0, rho=1.0, nu=1.0)
+    p = MaternParams(sigma=1.0, rho=1.0)
     assert matern_cov(1.0, p) == pytest.approx(0.6019072301972346, abs=1e-12)
 
 
 def test_matches_arbitrary_precision_bessel():
     # independent oracle: 50-digit Bessel-K evaluation of the same formula
     mpmath.mp.dps = 50
-    for nu in (0.5, 1.0, 1.5, 2.5):
-        for u in (0.1, 0.7, 1.0, 2.3, 6.0):
-            p = MaternParams(sigma=1.3, rho=1.0, nu=nu)
-            ref = (mpmath.mpf("1.3") ** 2
-                   / (mpmath.mpf(2) ** (nu - 1) * mpmath.gamma(nu))
-                   * mpmath.mpf(u) ** nu * mpmath.besselk(nu, u))
-            assert matern_cov(u, p) == pytest.approx(float(ref), rel=1e-10)
-
-
-def _kv_formula(d, p):
-    """Every-nu formula of matern_cov, written out as the oracle."""
-    u = d / p.rho
-    with np.errstate(invalid="ignore"):
-        c = p.sigma**2 / (2 ** (p.nu - 1) * gamma(p.nu)) * u**p.nu * kv(p.nu, u)
-    return np.where(d == 0, p.sigma**2, c)
+    p = MaternParams(sigma=1.3, rho=1.0)
+    for u in (0.1, 0.7, 1.0, 2.3, 6.0):
+        ref = mpmath.mpf("1.3") ** 2 * mpmath.mpf(u) * mpmath.besselk(1, u)
+        assert matern_cov(u, p) == pytest.approx(float(ref), rel=1e-10)
 
 
 def test_nu_one_fast_path_matches_the_kv_formula():
+    # the general-smoothness form sigma^2 / (2^(nu-1) Gamma(nu)) u^nu K_nu(u)
+    # at nu = 1, written out with the general Bessel routine kv as the oracle
     d = np.concatenate([[0.0], np.geomspace(1e-6, 300.0, 20_001)])
-    p = MaternParams(sigma=1.0, rho=1.0, nu=1.0)
-    got, want = matern_cov(d, p), _kv_formula(d, p)
+    u = d[1:]
+    got = matern_cov(d, MaternParams(sigma=1.0, rho=1.0))
     assert got[0] == 1.0
-    assert np.max(np.abs(got - want) / want) <= 4e-15
-
-
-@pytest.mark.parametrize("nu", [0.5, 1.5])
-def test_other_smoothness_keeps_the_kv_formula_bit_for_bit(nu):
-    d = np.concatenate([[0.0], np.geomspace(1e-3, 200.0, 2_001)])
-    p = MaternParams(sigma=1.3, rho=7.0, nu=nu)
-    assert np.array_equal(matern_cov(d, p), _kv_formula(d, p))
+    assert np.max(np.abs(got[1:] - u * kv(1, u)) / (u * kv(1, u))) <= 4e-15
 
 
 def test_monotone_decreasing_in_distance():
-    p = MaternParams(sigma=1.0, rho=10.0, nu=1.0)
+    p = MaternParams(sigma=1.0, rho=10.0)
     d = np.linspace(0, 50, 200)
     c = matern_cov(d, p)
     assert np.all(np.diff(c) < 1e-12)
@@ -85,18 +59,17 @@ def test_negative_distance_rejected():
 
 
 def test_params_validated():
-    for bad in ({"sigma": 0.0}, {"rho": -1.0}, {"nu": float("nan")}):
-        kwargs = {"sigma": 1.0, "rho": 1.0, "nu": 1.0, **bad}
+    for bad in ({"sigma": 0.0}, {"rho": -1.0}):
+        kwargs = {"sigma": 1.0, "rho": 1.0, **bad}
         with pytest.raises(ValueError):
             MaternParams(**kwargs)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=0.01, max_value=100.0),
-       st.floats(min_value=0.1, max_value=50.0),
-       st.floats(min_value=0.3, max_value=3.0))
-def test_covariance_bounded_by_variance(d, rho, nu):
-    p = MaternParams(sigma=1.7, rho=rho, nu=nu)
+       st.floats(min_value=0.1, max_value=50.0))
+def test_covariance_bounded_by_variance(d, rho):
+    p = MaternParams(sigma=1.7, rho=rho)
     c = matern_cov(d, p)
     assert 0.0 <= c <= 1.7**2 + 1e-12
 
@@ -113,7 +86,7 @@ def test_cholesky_reconstruction():
     rng = np.random.default_rng(8)
     pts = rng.uniform(0, 20, (12, 2))
     dm = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
-    p = MaternParams(sigma=0.5, rho=5.0, nu=1.0)
+    p = MaternParams(sigma=0.5, rho=5.0)
     cov = matern_cov(dm, p)
     fac = cholesky(cov)
     assert np.max(np.abs(fac.L @ fac.L.T - cov)) < 1e-8 * p.sigma**2
@@ -122,7 +95,7 @@ def test_cholesky_reconstruction():
 def test_cholesky_jitter_on_singular():
     # coincident sites give a singular covariance; the ladder must engage
     dm = np.zeros((2, 2))
-    cov = matern_cov(dm, MaternParams(sigma=1.0, rho=1.0, nu=1.0))
+    cov = matern_cov(dm, MaternParams(sigma=1.0, rho=1.0))
     fac = cholesky(cov)
     assert fac.jitter > 0.0
     assert fac.jitter in tuple(r * 1.0 for r in JITTER_LADDER)

@@ -32,7 +32,7 @@ def _toy_data(seed=0, m=8):
 
 def _dense_inverses(dm, grid):
     """R^{-1} at every grid point, inverted from the Matérn matrix itself."""
-    return np.linalg.inv([matern_cov(dm, MaternParams(1.0, float(rho), 1.0)) for rho in grid])
+    return np.linalg.inv([matern_cov(dm, MaternParams(1.0, float(rho))) for rho in grid])
 
 
 # ---------------------------------------------------------------- posterior identity
@@ -47,7 +47,7 @@ def test_ridge_identity():
     sigma, rho = 0.5, 8.0
     base = naive_log_posterior(-5.0, sigma, rho, z, y, n, dm)
     shifted = naive_log_posterior(-5.0 + c, sigma, rho, z - c, y, n, dm)
-    r = matern_cov(dm, MaternParams(1.0, rho, 1.0))
+    r = matern_cov(dm, MaternParams(1.0, rho))
     sinv = np.linalg.inv(sigma**2 * r)
     expect = 0.5 * (z @ sinv @ z - (z - c) @ sinv @ (z - c))
     assert shifted - base == pytest.approx(expect, abs=1e-9)
@@ -71,9 +71,9 @@ def test_mcmc_config_validation():
 
 def test_rho_grid_factors_consistency():
     _, _, dm = _toy_data(seed=6, m=5)
-    fac = RhoGridFactors(dm, PriorSpec(4), nu=1.0)
+    fac = RhoGridFactors(dm, PriorSpec(4))
     for g, rho in enumerate(fac.grid):
-        r = matern_cov(dm, MaternParams(1.0, float(rho), 1.0))
+        r = matern_cov(dm, MaternParams(1.0, float(rho)))
         L = fac.chol[g].L
         assert np.max(np.abs(L @ L.T - r)) < 1e-12
         assert np.max(np.abs(r @ fac.rinv_one[g] - 1.0)) < 1e-8
@@ -184,7 +184,7 @@ def test_posterior_means_two_draw_average():
     fit = ModelIIFit(
         beta=np.array([-1.0, -3.0]), sigma=np.array([1.0, 2.0]),
         rho=np.array([4.0, 4.0]), z=np.zeros((2, 5)),
-        acceptance={}, ess={}, config=FAST, prior=PriorSpec(10), nu=1.0, seed=0,
+        acceptance={}, ess={}, config=FAST, prior=PriorSpec(10), seed=0,
     )
     b, s, r, r_grid = posterior_means(fit)
     assert (b, s, r, r_grid) == (-2.0, 1.5, 4.0, 4.0)
@@ -195,7 +195,7 @@ def test_posterior_means_two_draw_average():
 @pytest.mark.parametrize("m", [6, 32])
 def test_packed_quad_forms_match_dense(m):
     _, _, dm = _toy_data(seed=20 + m, m=m)
-    fac = RhoGridFactors(dm, PriorSpec(12), nu=1.0)
+    fac = RhoGridFactors(dm, PriorSpec(12))
     z = np.random.default_rng(m).normal(0, 0.4, m)
     inv = _dense_inverses(dm, fac.grid)
     assert np.allclose(fac.quad_forms(z), inv @ z @ z, rtol=1e-12, atol=0)
@@ -206,7 +206,7 @@ def test_packed_quad_forms_match_dense(m):
 def test_rho_grid_factors_match_a_full_matrix_build(m):
     # oracle: the full correlation matrix from kv, inverted whole
     _, _, dm = _toy_data(seed=40 + m, m=m)
-    fac = RhoGridFactors(dm, PriorSpec(70), nu=1.0)
+    fac = RhoGridFactors(dm, PriorSpec(70))
     i, j = np.triu_indices(m)
     for g, rho in enumerate(fac.grid):
         u = dm / rho
@@ -235,12 +235,12 @@ def test_rho_draw_weights_are_the_exact_conditional_of_the_current_state(monkeyp
 
     y, n, dm = _toy_data(seed=9, m=8)
     prior = PriorSpec(12)
-    fac = RhoGridFactors(dm, prior, nu=1.0)
+    fac = RhoGridFactors(dm, prior)
     weights = []
     draw = mcmc._draw_index
     monkeypatch.setattr(mcmc, "_draw_index", lambda w, rng: weights.append(w) or draw(w, rng))
     fit = fit_model2(y, n, dm, prior, config=McmcConfig(n_iter=60, burn_in=10, thin=1),
-                     seed=3, rho_factors=fac)
+                     seed=3)
     assert fit.acceptance["scale"] > 0  # the rescaled forms are exercised
     inv = _dense_inverses(dm, fac.grid)
     for w, z, sigma in zip(weights[10:], fit.z, fit.sigma, strict=True):
@@ -254,7 +254,7 @@ def test_elliptical_slice_leaves_prior_invariant_under_flat_likelihood():
 
     _, _, dm = _toy_data(seed=21, m=5)
     sigma = 0.7
-    cov = sigma**2 * matern_cov(dm, MaternParams(1.0, 15.0, 1.0))
+    cov = sigma**2 * matern_cov(dm, MaternParams(1.0, 15.0))
     L = cholesky(cov).L
     rng = np.random.default_rng(3)
     z = np.zeros(5)
@@ -338,7 +338,7 @@ def test_fit_model2_simulation_based_calibration(capsys):
     dm = distance_matrix(sr)
     n = sr.populations[0]
     prior = PriorSpec(70)
-    fac = RhoGridFactors(dm, prior, nu=1.0)
+    fac = RhoGridFactors(dm, prior)
     rng = np.random.default_rng(12)
     ranks, failed = [], 0
     while len(ranks) + failed < SBC_FITS:
@@ -349,8 +349,7 @@ def test_fit_model2_simulation_based_calibration(capsys):
         if y.sum() == 0:
             continue  # not fittable; a choice made on the data alone keeps the ranks exact
         try:
-            fit = fit_model2(y, n, dm, prior, config=FAST, seed=int(rng.integers(2**63)),
-                             rho_factors=fac)
+            fit = fit_model2(y, n, dm, prior, config=FAST, seed=int(rng.integers(2**63)))
         except (ChainDivergenceError, OverflowError):
             failed += 1
             continue

@@ -83,7 +83,7 @@ def test_tie_goes_to_smaller_sorted_member_list():
     res = scan(sr, ws)
     assert sorted(res.primary.members) == [0, 3]
     assert [sorted(c.members) for c, *_ in res.secondaries] == [[1, 2]]
-    assert res.secondaries[0][1] == res.primary_llr
+    assert res.secondaries[0][1] == res.llr_star
     _assert_scan_matches_dense(sr, ws, sr.cases[0])
 
 
@@ -126,7 +126,7 @@ def test_large_totals_match_dense_within_claimed_bound(scale):
     assert np.max(np.abs(llr_star_batch(counts, n, ws) - dense.max(axis=1))) <= bound
     res = scan(sr, ws, period="t0", counts=counts[0])
     by_window = {tuple(w.members): i for i, w in enumerate(ws)}
-    for c, llr, _, _ in ((res.primary, res.primary_llr, 0, 0), *res.secondaries):
+    for c, llr, _, _ in ((res.primary, res.llr_star, 0, 0), *res.secondaries):
         assert abs(llr - dense[0, by_window[c.members]]) <= bound
 
 

@@ -60,18 +60,13 @@ def test_mixture_degenerate_equals_poisson():
 
 
 def test_mixture_methods_agree():
-    sig = [[0.09]]
-    q, _ = mixture_tail(9, 0.0, [5.0], sig, method="quadrature")
-    mc, se = mixture_tail(9, 0.0, [5.0], sig, method="monte_carlo",
+    # one component takes quadrature; a perfectly correlated pair with the same
+    # total population takes Monte Carlo, and its total rate has the same law
+    q, q_se = mixture_tail(9, 0.0, [5.0], [[0.09]])
+    mc, se = mixture_tail(9, 0.0, [2.5, 2.5], np.full((2, 2), 0.09),
                           n_samples=1_000_000, seed=0)
+    assert q_se == 0.0 and se > 0.0
     assert abs(q - mc) < 3 * se
-
-
-def test_mixture_quadrature_restrictions():
-    with pytest.raises(ValueError, match="single component"):
-        mixture_tail(3, 0.0, [1.0, 2.0], np.eye(2) * 0.1, method="quadrature")
-    with pytest.raises(ValueError, match="unknown method"):
-        mixture_tail(3, 0.0, [1.0], [[0.1]], method="saddlepoint")
 
 
 def test_mixture_heavier_than_poisson_far_tail():
