@@ -157,8 +157,8 @@ def _experiment_config(args, cfg, mode):
         mc_size=args.mc_size,
         mode=mode,
         seed=args.seed or 0,
-        rho_upper=args.rho_upper,
         **chain,
+        **_given(vars(args), "rho_upper"),
     )
 
 
@@ -281,29 +281,33 @@ def build_parser():
         p.add_argument("--period", default=None)
         p.add_argument("--out", default=None)
 
-    def add_model_args(p):
+    def add_rho_upper(p):
         p.add_argument("--rho-upper", dest="rho_upper", type=int, default=70)
+
+    def add_mc_size(p):
         p.add_argument("--mc-size", dest="mc_size", type=int, default=999)
 
     p = sub.add_parser("scan", help="classical scan with Monte Carlo p-value")
     add_region_args(p)
-    p.add_argument("--mc-size", dest="mc_size", type=int, default=999)
+    add_mc_size(p)
     p.set_defaults(func=cmd_scan, settings=("max_window_fraction",))
 
     p = sub.add_parser("fit", help="fit the spatial mixed model by MCMC")
     add_region_args(p)
-    add_model_args(p)
+    add_rho_upper(p)
     p.set_defaults(func=cmd_fit, settings=MCMC_KEYS)
 
     p = sub.add_parser("adjusted-scan", help="correlation-adjusted scan")
     add_region_args(p)
-    add_model_args(p)
+    add_rho_upper(p)
+    add_mc_size(p)
     p.set_defaults(func=cmd_adjusted_scan,
                    settings=("alpha_screen", "max_iter", "max_window_fraction", *MCMC_KEYS))
 
     p = sub.add_parser("surveil", help="train/test surveillance with FDR layer")
     add_region_args(p)
-    add_model_args(p)
+    add_rho_upper(p)
+    add_mc_size(p)
     p.add_argument("--train-period", dest="train_period", required=True)
     p.set_defaults(func=cmd_surveil, settings=("max_window_fraction", *MCMC_KEYS))
 
@@ -321,12 +325,14 @@ def build_parser():
         p.add_argument("--rho", type=float, default=50.0)
         p.add_argument("--replicates", type=int, default=200)
         p.add_argument("--out", default=None)
-        add_model_args(p)
+        add_mc_size(p)
+        if name == "adjusted-study":  # only the fitted mode has a range prior
+            add_rho_upper(p)
         p.set_defaults(func=fn, settings=settings)
 
     p = sub.add_parser("fdr", help="local FDR over a CSV of (period, p_value)")
     p.add_argument("--input", required=True)
-    p.add_argument("--mc-size", dest="mc_size", type=int, default=999)
+    add_mc_size(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fdr, settings=("spline_df",))
 

@@ -26,8 +26,8 @@ from .fdr import fit_fdr_model, nudge_boundary_p, p_to_z
 from .matern import MaternParams, NotPositiveDefiniteError, cholesky, matern_cov
 from .mcmc import (ChainDivergenceError, McmcConfig, PriorSpec, TooFewRegionsError,
                    ZeroCountsError, fit_model2)
-from .region import (InputError, StudyRegion, _check_whole, _real_tuple, distance_matrix,
-                     enumerate_windows)
+from .region import (InputError, StudyRegion, _check_real, _check_whole, _real_tuple,
+                     distance_matrix, enumerate_windows)
 from .scan import llr_star_batch, model1_simulator, rank_pvalue, scan
 
 __all__ = [
@@ -65,6 +65,7 @@ class ExperimentConfig:
         n_iter=2_000, burn_in=500, thin=3))
 
     def __post_init__(self):
+        _check_real("beta", self.beta)
         _check_whole("replicates", self.replicates, 1)
         _check_whole("mc_size", self.mc_size, 19)
         for name in ("sigma_grid", "rho_grid"):
@@ -120,6 +121,8 @@ def synth_geometry(m, seed=None, pop_log_mean=10.0, pop_log_sd=1.0) -> StudyRegi
     """Uniform random centroids in the square [8, 162]^2 with lognormal
     populations, as one period labelled "all"."""
     _check_whole("m", m, 1)
+    _check_real("pop_log_mean", pop_log_mean)
+    _check_real("pop_log_sd", pop_log_sd, lambda v: v >= 0, "a number >= 0")
     rng = np.random.default_rng(seed)
     x0, x1, y0, y1 = 8.0, 162.0, 8.0, 162.0
     xs = rng.uniform(x0, x1, m)

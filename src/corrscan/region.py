@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,8 @@ class StudyRegion:
             raise InputError("duplicate region ids")
         if not np.all(np.isfinite(centroids)):
             raise InputError("non-finite centroid coordinate")
+        if not np.all(np.isfinite(pops)):
+            raise InputError("non-finite population")
         if not np.all(pops > 0):
             raise InputError("nonpositive population")
         if np.any(cases < 0):
@@ -228,7 +231,7 @@ class CandidateCluster:
         return tuple(sr.ids[i] for i in self.members)
 
 
-# elements of one (width, m, rows) cumulative-sum block; sets the row chunk
+# elements of one membership-bitset block in enumerate_windows
 _ROW_BLOCK_ELEMENTS = 1 << 20
 
 
@@ -273,11 +276,33 @@ class WindowSet:
         first = np.where(hit.any(axis=1), hit.argmax(axis=1), hit.shape[1])
         return first[self.center] < self.length
 
-    @property
-    def chunk_rows(self):
-        """Rows per block, so that one (width, m, rows) cumulative-sum block
-        stays near ``_ROW_BLOCK_ELEMENTS`` elements."""
-        return max(1, _ROW_BLOCK_ELEMENTS // max(1, self.order.size))
+    @cached_property
+    def by_length(self):
+        """Layout for evaluating the windows one band of lengths at a time.
+
+        Returns ``(take, extent, window, slot, start)``.  The centres are
+        ranked by their longest window, longest first, so the centres with a
+        window of length ``j + 1`` are within the first ``extent[j]``, and
+        ``take[j, r]`` is the region at prefix position ``j`` of the centre
+        ranked ``r``.  ``window`` lists the window indices by (length, rank of
+        the centre), ``slot`` holds that rank, and the windows of length
+        ``j + 1`` are ``window[start[j]:start[j + 1]]``.  It depends on
+        geometry only, so it is built once per set.
+        """
+        longest = np.zeros(self.m, dtype=np.intp)
+        np.maximum.at(longest, self.center, self.length)
+        rank = np.argsort(-longest, kind="stable")
+        place = np.empty(self.m, dtype=np.intp)
+        place[rank] = np.arange(self.m)
+        width = int(longest.max(initial=0))
+        extent = np.count_nonzero(longest[:, None] > np.arange(width), axis=0)
+        window = np.lexsort((place[self.center], self.length))
+        start = np.searchsorted(self.length[window], np.arange(1, width + 2))
+        layout = (np.ascontiguousarray(self.order[rank, :width].T), extent, window,
+                  place[self.center[window]], start)
+        for arr in layout:
+            arr.setflags(write=False)
+        return layout
 
     def window_sums(self, values):
         """Per-window sums of a (k, m) block, as a (windows, k) array.

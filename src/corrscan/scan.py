@@ -117,55 +117,67 @@ def _as_counts(counts, m):
     return out
 
 
-def _llr_kernel(populations, windows: WindowSet):
-    """Evaluator of every window's statistic for (k, m) count blocks.
+# values in one block of the stream in llr_star_batch, small enough that a
+# band's five buffers stay in cache: at m = 400 with 999 rows, 1 << 16 took
+# 1.3-1.4 s per call and 1 << 18 took 1.6-1.8 s on a 2-CPU x86-64 host
+_STREAM_ELEMENTS = 1 << 16
+
+
+def _xlogx(v, out):
+    """``v log v`` for whole numbers ``v >= 0`` (0 at 0), written into ``out``."""
+    np.maximum(v, 1.0, out=out)
+    np.log(out, out=out)
+    out *= v
+    return out
+
+
+def _population_terms(populations, windows: WindowSet):
+    """The study total N and per-window ``(n_c, logit mu, log(1 - mu), gated)``.
+
+    ``mu = n_c / N`` is the window's population share.  ``gated`` marks the
+    windows whose statistic is zero: the window of all m regions and any
+    whose share rounds to 1 or above.  Their share is set to 1/2 so that both
+    logs stay finite.
+    """
+    n = np.asarray(populations, dtype=float)
+    n_g = n.sum()
+    n_c = windows.aggregate(n)
+    mu = n_c / n_g
+    gated = (windows.length == windows.m) | (mu >= 1)
+    mu[gated] = 0.5
+    log_out = np.log1p(-mu)
+    return n_g, (n_c, np.log(mu) - log_out, log_out, gated)
+
+
+def _llr_kernel(y_c, y_g, n_g, terms, out, tmp, low):
+    """Statistic of windows holding ``y_c`` of ``y_g`` cases, written into ``out``.
 
     With whole-number counts the statistic is
     ``T(y) + T(Y-y) - T(Y) - y log mu - (Y-y) log(1-mu)``, where
     ``T(k) = k log k``, ``y`` the window count, ``Y`` the row total and
-    ``mu = n_c / N`` the window's population share.  It is gated to zero
-    unless ``y N > Y n_c`` (inside rate higher), and for a window holding
-    every region.  Gated-in values are not clamped at zero, so callers take
-    ``max(., 0)``.  ``scan`` and ``llr_star_batch`` share this arithmetic, so
-    equal count vectors give bit-equal statistics.  The terms are of size
-    ``Y log Y``, so the absolute rounding error grows with the total: about
-    ``2 eps Y log Y`` against the rate-ratio form of :func:`log_lr_vector`.
+    ``mu = n_c / N`` the window's population share; ``terms`` are the
+    windows' entries of :func:`_population_terms`.  It is gated to zero
+    unless ``y N > Y n_c`` (inside rate higher), and for the windows marked
+    ``gated``.  Gated-in values are not clamped at zero, so callers take
+    ``max(., 0)``.  :func:`scan` and :func:`llr_star_batch` both evaluate
+    through this function, so equal count vectors give bit-equal statistics.
+    The terms are of size ``Y log Y``, so the absolute rounding error grows
+    with the total: about ``2 eps Y log Y`` against the rate-ratio form of
+    :func:`log_lr_vector`.
 
-    Returns the evaluator, which maps a count block to (llr, y_c) of shape
-    (windows, k), and the per-window populations ``n_c``.
+    ``tmp`` holds two float arrays and ``low`` one boolean array of
+    ``out``'s shape, used as scratch.
     """
-    n = np.asarray(populations, dtype=float)
-    n_c = windows.aggregate(n)
-    n_g = n.sum()
-    mu = n_c / n_g
-    whole = np.flatnonzero((windows.length == windows.m) | (mu >= 1))
-    mu[whole] = 0.5  # any share in (0, 1): these windows are gated to zero below
-    log_out = np.log1p(-mu)[:, None]
-    logit = (np.log(mu) - np.log1p(-mu))[:, None]
-    n_c_col = n_c[:, None]
-
-    def xlogx(v):
-        out = np.maximum(v, 1.0)
-        np.log(out, out=out)
-        out *= v
-        return out
-
-    def evaluate(counts):
-        counts = counts.astype(float)  # whole numbers below 2**53 sum exactly
-        y_c = windows.window_sums(counts)
-        y_g = counts.sum(axis=1)
-        if (y_g == y_g[0]).all():
-            y_g = y_g[:1]  # one total: the row terms below stay (windows, 1)
-        llr = xlogx(y_c)
-        llr += xlogx(y_g - y_c)
-        llr -= y_c * logit
-        llr -= xlogx(y_g) + y_g * log_out
-        low = y_c * n_g <= y_g * n_c_col
-        low[whole] = True
-        np.putmask(llr, low, 0.0)
-        return llr, y_c
-
-    return evaluate, n_c
+    n_c, logit, log_out, gated = terms
+    _xlogx(y_c, out)
+    np.subtract(y_g, y_c, out=tmp[0])
+    out += _xlogx(tmp[0], tmp[1])
+    out -= np.multiply(y_c, logit, out=tmp[0])
+    out -= _xlogx(y_g, np.empty_like(y_g)) + y_g * log_out
+    np.less_equal(np.multiply(y_c, n_g, out=tmp[0]), np.multiply(y_g, n_c, out=tmp[1]), out=low)
+    np.putmask(out, low, 0.0)
+    out[gated] = 0.0
+    return out
 
 
 def _ranked(windows: WindowSet, idx, llr):
@@ -196,9 +208,13 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
     y_g = int(y.sum())
     if y_g == 0:
         return ScanResult(0.0, None, 0, 0.0, ())
-    kernel, n_c = _llr_kernel(sr.period_populations(period), windows)
-    llr, y_c = kernel(y)
-    llr, y_c = np.maximum(llr[:, 0], 0.0), y_c[:, 0]
+    n_g, terms = _population_terms(sr.period_populations(period), windows)
+    n_c = terms[0]
+    y_c = windows.window_sums(y.astype(float))[:, 0]
+    out, *tmp = np.empty((3, len(y_c)))
+    llr = _llr_kernel(y_c, y.sum(axis=1).astype(float), n_g, terms, out, tmp,
+                      np.empty(len(y_c), dtype=bool))
+    llr = np.maximum(llr, 0.0)
 
     positive = np.flatnonzero(llr > 0)
     if len(positive):
@@ -241,17 +257,55 @@ def model1_simulator(sr: StudyRegion, period=None, total=None):
 def llr_star_batch(counts, populations, windows: WindowSet):
     """Max statistic for each row of a (k, m) count matrix.
 
-    Rows are evaluated ``windows.chunk_rows`` at a time by the kernel that
-    :func:`scan` uses."""
+    The windows are streamed by length (:attr:`WindowSet.by_length`), a band
+    of prefix positions at a time: a running (centres x rows) count adds the
+    next regions of every centre's (distance, id) order, the band's windows
+    are picked from it and evaluated by the kernel that :func:`scan` uses, and
+    each row keeps its running maximum.  Rows and bands are sized so that no
+    block holds more than ``_STREAM_ELEMENTS`` values, so memory is O(m k)
+    and no (windows x k) array is built.
+    """
     counts = _as_counts(counts, windows.m)
-    out = np.zeros(len(counts))
+    best = np.zeros(len(counts))
     if len(windows) == 0 or len(counts) == 0:
-        return out
-    kernel, _ = _llr_kernel(populations, windows)
-    step = windows.chunk_rows
+        return best
+    take, extent, window, slot, start = windows.by_length
+    width, centres = len(extent), extent[0]
+    depth = windows.length[window] - 1
+    n_g, terms = _population_terms(populations, windows)
+    n_c, logit, log_out, gated = terms
+    terms = (n_c[window, None], logit[window, None], log_out[window, None], gated[window])
+    step = max(1, _STREAM_ELEMENTS // centres)
     for s in range(0, len(counts), step):
-        out[s:s + step] = kernel(counts[s:s + step])[0].max(axis=0)
-    return np.maximum(out, 0.0)
+        block = counts[s:s + step]
+        k = len(block)
+        y_g = block.sum(axis=1).astype(float)  # whole numbers below 2**53 are exact
+        if (y_g == y_g[0]).all():
+            y_g = y_g[:1]  # one total: the row terms stay one column wide
+        values = np.ascontiguousarray(block.T, dtype=float)
+        band = min(width, max(1, _STREAM_ELEMENTS // (centres * k)))
+        buffers = np.empty((5, band * centres * k))
+        low = np.empty(buffers.shape[1], dtype=bool)
+        running = np.zeros((centres, k))
+        top = best[s:s + step]
+        for j in range(0, width, band):
+            stop, c = min(j + band, width), extent[j]
+            # prefix counts of the band's positions for the first c ranked
+            # centres; mode="clip" lets take write into ``out`` unbuffered
+            y = buffers[0, :(stop - j) * c * k].reshape(stop - j, c, k)
+            np.take(values, take[j:stop, :c], axis=0, out=y, mode="clip")
+            y[0] += running[:c]
+            for i in range(1, len(y)):
+                y[i] += y[i - 1]
+            running[:c] = y[-1]
+            w = slice(start[j], start[stop])
+            views = [a[:(w.stop - w.start) * k].reshape(-1, k) for a in (*buffers[1:], low)]
+            y_c = np.take(y.reshape(-1, k), (depth[w] - j) * c + slot[w], axis=0,
+                          out=views[0], mode="clip")
+            llr = _llr_kernel(y_c, y_g, n_g, [a[w] for a in terms], views[1], views[2:4],
+                              views[4])
+            np.maximum(top, llr.max(axis=0, initial=0.0), out=top)
+    return best
 
 
 def rank_pvalue(observed, reference):

@@ -330,3 +330,43 @@ def test_adjusted_study_refuses_the_classical_mode(region_files, capsys):
                  "--cas", cas, "--replicates", "2", "--mc-size", "19"])
     assert code == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_population_file_is_an_input_error(region_files, tmp_path, capsys, value):
+    geo, pop, cas = region_files
+    bad = tmp_path / "bad.pop"
+    lines = Path(pop).read_text().splitlines()
+    bad.write_text("\n".join([f"r0 {value}", *lines[1:]]) + "\n")
+    assert main(["scan", "--geo", geo, "--pop", str(bad), "--cas", cas, "--mc-size", "19"]) \
+        == EXIT_INPUT
+    assert "input error: non-finite population" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--set", "pop_log_mean=1000", "synth-geo", "--m", "4"],
+                 "non-finite population", id="pop_log_mean=1000"),
+    pytest.param(["--set", "pop_log_mean=abc", "synth-geo", "--m", "4"],
+                 "pop_log_mean must be", id="pop_log_mean=abc"),
+    pytest.param(["--set", "pop_log_sd=-1", "synth-geo", "--m", "4"],
+                 "pop_log_sd must be a number >= 0", id="pop_log_sd=-1"),
+    pytest.param(["type1-study", "--m", "8", "--beta", "nan", "--replicates", "2",
+                  "--mc-size", "19"], "beta must be a finite number", id="beta=nan"),
+])
+def test_bad_study_and_geometry_inputs_are_input_errors(argv, message, capsys):
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fit", "--geo", "g", "--pop", "p", "--cas", "c"], ["--mc-size", "99"]),
+    (["type1-study"], ["--rho-upper", "30"]),
+])
+def test_commands_refuse_flags_they_do_not_read(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == EXIT_INPUT
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err

@@ -1,9 +1,13 @@
 """Prefix-sum scan path against the dense membership-matrix oracle, plus
 invariances of the maximum statistic that no unit test pins down."""
 
+import importlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from corrscan import StudyRegion, distance_matrix, enumerate_windows, scan
 from corrscan.region import InputError
@@ -15,6 +19,8 @@ from conftest import (
     loop_enumerate_windows,
     random_region,
 )
+
+scan_module = importlib.import_module("corrscan.scan")
 
 
 def _null_batch(rng, sr, size):
@@ -128,6 +134,54 @@ def test_large_totals_match_dense_within_claimed_bound(scale):
     by_window = {tuple(w.members): i for i, w in enumerate(ws)}
     for c, llr, _, _ in ((res.primary, res.llr_star, 0, 0), *res.secondaries):
         assert abs(llr - dense[0, by_window[c.members]]) <= bound
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 10_000), st.sampled_from([0.2, 0.5, 1.0]),
+       st.integers(0, 12), st.sampled_from([1, 40, 1 << 16]))
+@example(m=2, seed=0, frac=1.0, coincident=1, block=1)
+@example(m=12, seed=5, frac=0.5, coincident=6, block=40)
+def test_streamed_maximum_matches_dense_and_scan(m, seed, frac, coincident, block):
+    # coincident centroids give duplicate member sets (dropped by the
+    # enumeration), max_fraction = 1 admits the window of every region, and
+    # the rows hold an all-zero row and unequal totals.  ``block`` shrinks the
+    # stream's blocks so that both one-position bands and row chunks run.
+    rng = np.random.default_rng(seed)
+    centroids = rng.uniform(0, 10, (m, 2))
+    centroids[rng.integers(0, m, min(coincident, m))] = centroids[0]
+    sr = StudyRegion(ids=tuple(f"r{i}" for i in range(m)), centroids=centroids,
+                     periods=("all",), populations=rng.uniform(10, 500, (1, m)),
+                     cases=rng.integers(0, 30, (1, m)))
+    ws = enumerate_windows(sr, distance_matrix(sr), frac)
+    assume(len(ws))
+    n = sr.populations[0]
+    counts = np.vstack([sr.cases[0], np.zeros(m, dtype=int), rng.integers(0, 40, (6, m)),
+                        _null_batch(rng, sr, 3)])
+    with mock.patch.object(scan_module, "_STREAM_ELEMENTS", block):
+        star = llr_star_batch(counts, n, ws)
+    dense = dense_window_llr(counts, n, [w.members for w in ws])[0].max(axis=1)
+    assert np.max(np.abs(star - np.maximum(dense, 0.0))) < 1e-10
+    assert star[1] == 0.0
+    for row, value in zip(counts, star):
+        assert value == scan(sr, ws, counts=row).llr_star
+
+
+def test_stream_memory_stays_far_below_windows_by_rows():
+    # the stream holds O(m x rows) values, far less than one (windows x rows)
+    # float array, which alone would exceed 5 MiB here
+    rng = np.random.default_rng(128)
+    sr = random_region(rng, 128)
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    counts = _null_batch(rng, sr, 99)
+    tracemalloc.start()
+    try:
+        llr_star_batch(counts, sr.populations[0], ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ws) * len(counts) * 8 > 5 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_counts_must_be_whole_and_nonnegative(small_region):

@@ -273,3 +273,10 @@ def test_period_index_position_bounds():
                            populations=[[1.0], [1.0]], cases=[[1], [3]])
     assert labelled.period_index(2020) == 1  # a label wins over a position
     assert labelled.period_index(1) == 1
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_population_rejected(value):
+    with pytest.raises(InputError, match="non-finite population"):
+        StudyRegion(ids=("A", "B"), centroids=[[0, 0], [1, 1]], periods=("all",),
+                    populations=[[1.0, value]], cases=[[0, 0]])
