@@ -3,7 +3,8 @@
 p-values become z-values through the inverse normal CDF; a Poisson spline
 fit to the z histogram gives the empirical density f; a quadratic fit to
 log f around its mode gives the normal empirical null f0; the reported
-quantity is fdr(z) = f0(z) / f(z), capped at 1.
+quantity is fdr(z) = f0(z) / f(z), capped at 1.  Only small p is evidence
+against the null, so fdr is 1 at and above the null's centre delta0.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ class FdrModel:
 
 
 def local_fdr(model: FdrModel, z):
-    """fdr(z) = f0(z)/f(z) with log-linear interpolation of f, capped at 1.
+    """fdr(z) = f0(z)/f(z) with log-linear interpolation of f, capped at 1,
+    and 1 for z >= delta0: large p (the upper tail) is no evidence of a cluster.
 
     Returns (value, extrapolated_flag) for scalar z, or arrays for vectors."""
     grid = model.density.grid
@@ -177,7 +179,7 @@ def local_fdr(model: FdrModel, z):
     f = np.exp(np.interp(zc, grid, logf))
     x = (zc - model.delta0) / model.sigma0
     f0 = np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi) / model.sigma0
-    val = np.minimum(f0 / f, 1.0)
+    val = np.where(zq < model.delta0, np.minimum(f0 / f, 1.0), 1.0)
     if zq.ndim == 0:
         return float(val), bool(flag)
     return val, flag

@@ -42,6 +42,7 @@ __all__ = [
 
 MODES = ("classical", "adjusted_fitted", "adjusted_true_params")
 ALPHAS = (0.01, 0.05, 0.1)  # levels at which every study reports its proportions
+_POISSON_RATE_MAX = 9.2e18  # numpy's Poisson sampler refuses rates above about this
 
 # A replicate with no cases, or whose reference fails for one of these causes,
 # is dropped and counted by cause; any other exception propagates.
@@ -157,6 +158,9 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
     dm = distance_matrix(sr)
     windows = enumerate_windows(sr, dm)
     n = sr.period_populations(sr.periods[0])
+    if cfg.beta + math.log(float(n.max())) > math.log(_POISSON_RATE_MAX):
+        raise InputError(f"beta={cfg.beta:g} is too large: the Poisson rate max(n) e^beta "
+                         f"exceeds the sampler's limit {_POISSON_RATE_MAX:.2g}")
     table = ProportionTable()
     master = np.random.SeedSequence(cfg.seed)
     prior = PriorSpec(cfg.rho_upper)

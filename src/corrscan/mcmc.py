@@ -1,13 +1,14 @@
-"""Bayesian fit of the spatial Poisson mixed model by Gibbs sampling.
+"""Bayesian fit of the spatial Poisson mixed model by Metropolis-within-Gibbs.
 
 Counts are Poisson with log-rate = beta + log(population) + Z, where Z is a
 zero-mean Gaussian field with Matérn covariance sigma^2 (d/rho) K_1(d/rho): the
 smoothness is fixed at 1.  Priors: flat on beta, flat on sigma > 0, uniform
 over an integer grid 1..U for rho.  Each iteration updates the whole field by
-one elliptical slice step under its Gaussian prior, draws beta, sigma and rho
-exactly from their full conditionals (two gamma draws and a draw over the grid,
-using correlation-matrix factors precomputed once per geometry), and adds two
-adaptive joint moves that shift and scale the field against beta and sigma.
+one elliptical slice step under its Gaussian prior, draws beta exactly from its
+full conditional, moves rho by Metropolis on its conditional with sigma
+integrated out (a collapsed step, Liu 1994), draws sigma exactly given rho,
+and adds two adaptive joint moves that shift and scale the field against beta
+and sigma.  Correlation-matrix factors are precomputed once per geometry.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, blas, lapack
+from scipy.linalg import blas
 
 from .matern import MaternParams, cholesky, matern_cov
 from .region import InputError, _check_whole
@@ -76,22 +77,18 @@ class ZeroCountsError(InputError):
 
 
 class RhoGridFactors:
-    """Per-grid-point correlation-matrix Cholesky factors, inverses and log-dets.
+    """Per-grid-point correlation-matrix Cholesky factors, log-dets and R^{-1} 1.
 
     R comes from one ``matern_cov`` call over the strict lower triangle of ``dm``
-    at every grid point; each R^{-1} from ``dpotri``, kept as its upper triangle
-    with off-diagonals doubled (``packed``, read by :meth:`quad_forms`), and
-    R^{-1} 1 (``rinv_one``) from two triangular solves."""
+    at every grid point, and R^{-1} 1 (``rinv_one``) from two triangular solves
+    against its factor.  No R^{-1} is formed: :meth:`quad_form` solves once."""
 
     def __init__(self, dm, prior: PriorSpec):
         dm = np.asarray(dm, dtype=float)
         m = dm.shape[0]
         grid = prior.rho_grid
         self.grid = grid
-        self.triu = i, j = np.triu_indices(m)
-        double = np.where(i == j, 1.0, 2.0)
         self.logdet = np.empty(len(grid))
-        self.packed = np.empty((len(grid), len(i)))
         self.rinv_one = np.empty((len(grid), m))
         self.chol = []
         below = np.tril_indices(m, -1)
@@ -103,16 +100,12 @@ class RhoGridFactors:
             L = fac.L
             self.chol.append(fac)
             self.logdet[g] = 2.0 * np.log(np.diag(L)).sum()
-            inv, info = lapack.dpotri(L, lower=1)  # R^{-1} in the lower triangle
-            if info != 0:
-                raise LinAlgError(f"dpotri failed with info {info}")
-            self.packed[g] = inv.T[i, j] * double
             self.rinv_one[g] = blas.dtrsv(L, blas.dtrsv(L, np.ones(m), lower=1), lower=1, trans=1)
 
-    def quad_forms(self, z):
-        """z' R^{-1} z at every grid point, shape (n_grid,)."""
-        i, j = self.triu
-        return self.packed @ (z[i] * z[j])
+    def quad_form(self, g, z):
+        """z' R^{-1} z at grid index ``g``, by one triangular solve."""
+        w = blas.dtrsv(self.chol[g].L, z, lower=1)
+        return float(w @ w)
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,6 @@ class ModelIIFit:
     beta: np.ndarray
     sigma: np.ndarray
     rho: np.ndarray
-    z: np.ndarray  # (n_draws, m)
     acceptance: dict
     ess: dict
     config: McmcConfig
@@ -147,11 +139,6 @@ class ModelIIFit:
         """Fraction of rho draws in the top 5% of the grid (upper-bound diagnostic)."""
         cutoff = self.prior.rho_upper - max(1, int(math.ceil(0.05 * self.prior.rho_upper))) + 1
         return float(np.mean(self.rho >= cutoff))
-
-    def credible_interval(self, name, level=0.9):
-        draws = getattr(self, name)
-        a = (1 - level) / 2
-        return tuple(np.quantile(draws, [a, 1 - a]))
 
     def summary(self):
         qs = [0.05, 0.25, 0.5, 0.75, 0.95]
@@ -202,6 +189,8 @@ _ADAPT_INTERVAL = 50  # burn-in iterations between proposal-scale updates
 _TARGET_ACCEPT = 0.44  # acceptance rate the ridge and scale moves adapt towards
 _DIVERGENCE_FACTOR = 10.0  # sigma this far above its running median, for
 _DIVERGENCE_RUN = 1_000  # this many consecutive iterations, is a divergence
+_RHO_PROPOSALS = 2  # rho proposals per iteration, each moving the grid
+_RHO_STEP = 20  # index by U{1..20} up or down; off-grid proposals are rejected
 
 
 def elliptical_slice(z, prior_draw, loglik, current, rng):
@@ -224,14 +213,6 @@ def elliptical_slice(z, prior_draw, loglik, current, rng):
             hi = theta
         theta = rng.uniform(lo, hi)
     return z, current, _MAX_SHRINKS
-
-
-def _draw_index(weights, rng):
-    """Index drawn with probability proportional to ``weights`` by inverse CDF: one
-    ``rng.random()``, the same index as ``rng.choice(len(weights), p=weights / weights.sum())``."""
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _gibbs_intercept(sum_y, s_pop, rng):
@@ -272,7 +253,7 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
     scale_scale = 0.3
     z_first = ridge_acc = scale_acc = 0
 
-    keep_beta, keep_sigma, keep_rho, keep_z = [], [], [], []
+    keep_beta, keep_sigma, keep_rho = [], [], []
     sigma_trace = np.empty(config.n_iter)
     sigma_median = sigma
     div_streak = 0
@@ -304,9 +285,21 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
             s_pop = float(n @ np.exp(z))
             ridge_acc += 1
 
-        quads = fac.quad_forms(z)  # z' R^{-1} z at every grid point
-        if quads[rho_idx] > 0.0:  # 0 only before z has first moved
-            sigma = _gibbs_sigma(quads[rho_idx], m, rng)
+        # rho | z with sigma integrated out, p(rho | z) ~ |R|^{-1/2}
+        # (z'R^{-1}z)^{-(m-1)/2}: symmetric local moves on the grid index,
+        # then sigma | rho, z exactly
+        quad = fac.quad_form(rho_idx, z)
+        if quad > 0.0:  # 0 only before z has first moved
+            for _ in range(_RHO_PROPOSALS):
+                step = int(rng.integers(-_RHO_STEP, _RHO_STEP))
+                prop = rho_idx + step + (step >= 0)
+                if 0 <= prop < len(grid):
+                    q = fac.quad_form(prop, z)
+                    log_ratio = (0.5 * (fac.logdet[rho_idx] - fac.logdet[prop])
+                                 - 0.5 * (m - 1) * math.log(q / quad))
+                    if math.log(rng.random()) < log_ratio:
+                        rho_idx, quad = prop, q
+            sigma = _gibbs_sigma(quad, m, rng)
 
         # scaling move: inflate or deflate sigma and the whole field together;
         # the Gaussian prior term quad/sigma^2 is invariant, so the move walks
@@ -320,12 +313,7 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
         if math.isfinite(dpois) and math.log(rng.random()) < dpois + delta:
             z = zs
             sigma *= g
-            quads *= g * g
             scale_acc += 1
-
-        # rho: exact Gibbs over the grid
-        logp = -0.5 * quads / (sigma * sigma) - 0.5 * fac.logdet
-        rho_idx = _draw_index(np.exp(logp - logp.max()), rng)
 
         # divergence diagnostic on sigma
         sigma_trace[it] = sigma
@@ -353,7 +341,6 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
             keep_beta.append(beta)
             keep_sigma.append(sigma)
             keep_rho.append(float(grid[rho_idx]))
-            keep_z.append(z.copy())
 
         if it == config.burn_in - 1:
             # reset counters so reported rates cover the post-burn-in phase
@@ -362,7 +349,6 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
     beta_draws = np.array(keep_beta)
     sigma_draws = np.array(keep_sigma)
     rho_draws = np.array(keep_rho)
-    z_draws = np.array(keep_z)
     denom = max(1, config.n_iter - config.burn_in)
     acceptance = {
         "z": z_first / denom,  # slice updates accepted on their first proposal
@@ -383,7 +369,6 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
         beta=beta_draws,
         sigma=sigma_draws,
         rho=rho_draws,
-        z=z_draws,
         acceptance=acceptance,
         ess=ess,
         config=config,

@@ -99,6 +99,10 @@ class StudyRegion:
             raise InputError("non-finite population")
         if not np.all(pops > 0):
             raise InputError("nonpositive population")
+        with np.errstate(over="ignore"):
+            overflow = ~np.isfinite(pops.sum(axis=1))
+        if overflow.any():
+            raise InputError(f"population total of period {periods[overflow.argmax()]!r} overflows")
         if np.any(cases < 0):
             raise InputError("negative case count")
         for arr in (centroids, pops, cases):

@@ -167,9 +167,9 @@ def test_criterion_8_mixed_model_calibration(capsys):
         fit = fit_model2(y, n, dm, prior, config=STUDY_MCMC,
                          seed=int(rng.integers(2**63)))
         fits += 1
-        lo, hi = fit.credible_interval("beta", 0.9)
+        lo, hi = np.quantile(fit.beta, [0.05, 0.95])
         cover_b += lo <= beta_t <= hi
-        lo, hi = fit.credible_interval("sigma", 0.9)
+        lo, hi = np.quantile(fit.sigma, [0.05, 0.95])
         cover_s += lo <= sigma_t <= hi
         betas.append(fit.beta.mean())
     bias = float(np.mean(betas)) - beta_t

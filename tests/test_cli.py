@@ -344,6 +344,17 @@ def test_non_finite_population_file_is_an_input_error(region_files, tmp_path, ca
     assert "input error: non-finite population" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_population_total_is_an_input_error(region_files, tmp_path, capsys):
+    geo, pop, cas = region_files
+    bad = tmp_path / "huge.pop"
+    ids = [line.split()[0] for line in Path(pop).read_text().splitlines()]
+    bad.write_text("".join(f"{i} 1e308\n" for i in ids))
+    assert main(["scan", "--geo", geo, "--pop", str(bad), "--cas", cas, "--mc-size", "19"]) \
+        == EXIT_INPUT
+    assert "input error: population total of period" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["--set", "pop_log_mean=1000", "synth-geo", "--m", "4"],
                  "non-finite population", id="pop_log_mean=1000"),
@@ -353,6 +364,8 @@ def test_non_finite_population_file_is_an_input_error(region_files, tmp_path, ca
                  "pop_log_sd must be a number >= 0", id="pop_log_sd=-1"),
     pytest.param(["type1-study", "--m", "8", "--beta", "nan", "--replicates", "2",
                   "--mc-size", "19"], "beta must be a finite number", id="beta=nan"),
+    pytest.param(["type1-study", "--m", "8", "--beta", "40", "--replicates", "2",
+                  "--mc-size", "19"], "beta=40 is too large", id="beta=40"),
 ])
 def test_bad_study_and_geometry_inputs_are_input_errors(argv, message, capsys):
     assert main(argv) == EXIT_INPUT

@@ -179,6 +179,16 @@ def test_fdr_half_when_f_doubles_null():
     assert val == pytest.approx(0.5, rel=1e-6)
 
 
+def test_fdr_is_one_at_and_above_the_null_centre():
+    # the upper tail is no evidence of a cluster, however the density compares
+    grid = np.linspace(-3, 3, 121)
+    model = _model_from_density(grid, 2.0 * norm.pdf(grid), 0.25, 1.0)
+    vals, _ = local_fdr(model, np.array([-1.2, 0.2, 0.25, 1.2, 2.9, 4.0]))
+    assert vals[0] < 0.6 and vals[1] < 0.6
+    assert vals[2:].tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert local_fdr(model, 2.58) == (1.0, False)
+
+
 def test_fdr_extrapolation_flagged_and_capped():
     grid = np.linspace(-3, 3, 121)
     model = _model_from_density(grid, norm.pdf(grid), 0.0, 1.0)

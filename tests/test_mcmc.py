@@ -153,11 +153,8 @@ def test_fit_draw_count_and_summaries():
     y, n, dm = _toy_data(seed=12, m=6)
     fit = fit_model2(y, n, dm, PriorSpec(8), config=FAST, seed=2)
     assert fit.n_draws == (2000 - 500) // 3
-    assert fit.z.shape == (fit.n_draws, 6)
     assert set(fit.acceptance) == {"z", "beta", "sigma", "ridge", "scale"}
     assert all(0.0 <= v <= 1.0 for v in fit.acceptance.values())
-    lo, hi = fit.credible_interval("sigma", 0.9)
-    assert lo <= fit.sigma.mean() <= hi or lo <= np.median(fit.sigma) <= hi
     summary = fit.summary()
     assert "rho_boundary_fraction" in summary
     assert summary["beta"]["quantiles"]["0.5"] == pytest.approx(
@@ -183,7 +180,7 @@ def test_posterior_means_snapping():
 def test_posterior_means_two_draw_average():
     fit = ModelIIFit(
         beta=np.array([-1.0, -3.0]), sigma=np.array([1.0, 2.0]),
-        rho=np.array([4.0, 4.0]), z=np.zeros((2, 5)),
+        rho=np.array([4.0, 4.0]),
         acceptance={}, ess={}, config=FAST, prior=PriorSpec(10), seed=0,
     )
     b, s, r, r_grid = posterior_means(fit)
@@ -193,12 +190,13 @@ def test_posterior_means_two_draw_average():
 # ------------------------------------------------------- sampler kernels vs oracles
 
 @pytest.mark.parametrize("m", [6, 32])
-def test_packed_quad_forms_match_dense(m):
+def test_quad_form_matches_dense(m):
     _, _, dm = _toy_data(seed=20 + m, m=m)
     fac = RhoGridFactors(dm, PriorSpec(12))
     z = np.random.default_rng(m).normal(0, 0.4, m)
     inv = _dense_inverses(dm, fac.grid)
-    assert np.allclose(fac.quad_forms(z), inv @ z @ z, rtol=1e-12, atol=0)
+    quads = [fac.quad_form(g, z) for g in range(len(fac.grid))]
+    assert np.allclose(quads, inv @ z @ z, rtol=1e-12, atol=0)
     assert np.allclose(fac.rinv_one, inv.sum(axis=2), rtol=1e-9, atol=0)
 
 
@@ -207,46 +205,88 @@ def test_rho_grid_factors_match_a_full_matrix_build(m):
     # oracle: the full correlation matrix from kv, inverted whole
     _, _, dm = _toy_data(seed=40 + m, m=m)
     fac = RhoGridFactors(dm, PriorSpec(70))
-    i, j = np.triu_indices(m)
     for g, rho in enumerate(fac.grid):
         u = dm / rho
         with np.errstate(invalid="ignore"):
             r = np.where(dm == 0, 1.0, u * kv(1, u))
-        inv = np.linalg.inv(r)
         for got, want in ((fac.chol[g].L, np.linalg.cholesky(r)),
-                          (fac.packed[g], inv[i, j] * np.where(i == j, 1.0, 2.0)),
-                          (fac.rinv_one[g], inv.sum(axis=1))):
+                          (fac.rinv_one[g], np.linalg.inv(r).sum(axis=1))):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert fac.logdet[g] == pytest.approx(np.linalg.slogdet(r)[1], rel=1e-10, abs=1e-12)
 
 
-def test_inverse_cdf_index_draw_matches_choice():
-    from corrscan.mcmc import _draw_index
+class _RecordingRng(np.random.Generator):
+    """A generator that logs its uniforms into a shared event list."""
 
-    w = np.exp(-0.5 * np.random.default_rng(0).uniform(0, 30, 70))
-    a, b = np.random.default_rng(5), np.random.default_rng(5)
-    drawn = [_draw_index(w, a) for _ in range(10_000)]
-    chosen = [int(b.choice(len(w), p=w / w.sum())) for _ in range(10_000)]
-    assert drawn == chosen
+    def __init__(self, seed, events):
+        super().__init__(np.random.PCG64(seed))
+        self.events = events
+
+    def random(self, *args, **kwargs):
+        u = super().random(*args, **kwargs)
+        self.events.append(("u", u))
+        return u
 
 
-def test_rho_draw_weights_are_the_exact_conditional_of_the_current_state(monkeypatch):
-    import corrscan.mcmc as mcmc
+def _rho_moves(events):
+    """Split the logged events into rho moves: each ``quad_form`` call on a new
+    field is the current state, a call on the same field is a proposal, and the
+    uniform right after a proposal is its accept test."""
+    moves, z_prev = [], None
+    for k, ev in enumerate(events):
+        if ev[0] != "q":
+            continue
+        _, g, z = ev
+        if z_prev is None or not np.array_equal(z, z_prev):
+            moves.append((z, g, []))
+        else:
+            assert events[k + 1][0] == "u"
+            moves[-1][2].append((g, events[k + 1][1]))
+        z_prev = z
+    return moves
 
+
+def test_rho_moves_accept_by_the_collapsed_conditional(monkeypatch):
     y, n, dm = _toy_data(seed=9, m=8)
-    prior = PriorSpec(12)
+    m = len(y)
+    prior = PriorSpec(40)
     fac = RhoGridFactors(dm, prior)
-    weights = []
-    draw = mcmc._draw_index
-    monkeypatch.setattr(mcmc, "_draw_index", lambda w, rng: weights.append(w) or draw(w, rng))
-    fit = fit_model2(y, n, dm, prior, config=McmcConfig(n_iter=60, burn_in=10, thin=1),
-                     seed=3)
-    assert fit.acceptance["scale"] > 0  # the rescaled forms are exercised
+    events = []
+    quad_form = RhoGridFactors.quad_form
+    monkeypatch.setattr(RhoGridFactors, "quad_form",
+                        lambda self, g, z: events.append(("q", g, z.copy())) or quad_form(self, g, z))
+    config = McmcConfig(n_iter=400, burn_in=100, thin=1)
+    fit = fit_model2(y, n, dm, prior, config=config, seed=_RecordingRng(3, events))
     inv = _dense_inverses(dm, fac.grid)
-    for w, z, sigma in zip(weights[10:], fit.z, fit.sigma, strict=True):
-        logp = -0.5 * (inv @ z @ z) / sigma**2 - 0.5 * fac.logdet
-        expect = np.exp(logp - logp.max())
-        assert np.allclose(w / w.sum(), expect / expect.sum(), rtol=1e-9, atol=1e-15)
+    moves = _rho_moves(events)
+    assert len(moves) == config.n_iter
+    states, accepted, rejected = [], 0, 0
+    for z, g, proposals in moves:
+        if states:
+            assert g == states[-1]  # the state each move starts from is where the last one ended
+        logp = -0.5 * fac.logdet - 0.5 * (m - 1) * np.log(inv @ z @ z)
+        for p, u in proposals:
+            assert 1 <= abs(p - g) <= 20
+            log_ratio = logp[p] - logp[g]
+            assert abs(math.log(u) - log_ratio) > 1e-9  # no decision within rounding
+            if math.log(u) < log_ratio:
+                g, accepted = p, accepted + 1
+            else:
+                rejected += 1
+        states.append(g)
+    assert accepted > 50 and rejected > 50
+    assert np.array_equal(fit.rho, fac.grid[states[config.burn_in:]])
+
+
+def test_a_fit_solves_at_most_three_quad_forms_per_iteration(monkeypatch):
+    y, n, dm = _toy_data(seed=9, m=8)
+    calls = []
+    quad_form = RhoGridFactors.quad_form
+    monkeypatch.setattr(RhoGridFactors, "quad_form",
+                        lambda self, g, z: calls.append(g) or quad_form(self, g, z))
+    config = McmcConfig(n_iter=200, burn_in=50, thin=1)
+    fit_model2(y, n, dm, PriorSpec(70), config=config, seed=5)
+    assert config.n_iter <= len(calls) <= 3 * config.n_iter
 
 
 def test_elliptical_slice_leaves_prior_invariant_under_flat_likelihood():
