@@ -112,18 +112,25 @@ def _screen(clusters, reference, alpha=ALPHA_SCREEN):
     return {c.members for c, llr in clusters if rank_pvalue(llr, reference) <= alpha}
 
 
-def _fit_regions(screened, m):
-    """Regions inside and outside the screened clusters, as (excluded, kept).
-
-    The mixed model is fit on the kept regions only, and needs at least 5."""
+def _screened_fit(screened, y, n, dm, prior, mcmc, seed):
+    """Fit the mixed model to the regions outside the ``screened`` clusters,
+    as (excluded regions, fit).  The fit needs at least 5 regions left."""
     excluded = sorted({i for members in screened for i in members})
-    kept = [i for i in range(m) if i not in excluded]
+    kept = [i for i in range(len(y)) if i not in excluded]
     if len(kept) < 5:
         raise TooFewRegionsError(
             "fewer than 5 regions left outside detected clusters; use a larger "
             "study region or a stricter screening level"
         )
-    return excluded, kept
+    fit = fit_model2(y[kept], n[kept], dm[np.ix_(kept, kept)], prior, config=mcmc, seed=seed)
+    return excluded, fit
+
+
+def _fit_summary(fit):
+    """The posterior means, ESS and warnings of ``fit`` that a JSON result reports."""
+    beta, sigma, rho, rho_grid = posterior_means(fit)
+    return {"beta": beta, "sigma": sigma, "rho": rho, "rho_grid": rho_grid,
+            "ess": fit.ess, "warnings": list(fit.warnings)}
 
 
 def _fitted_reference(dm, sigma, rho):
@@ -173,20 +180,16 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
     final = tuple((c, llr, classical_p) for c, llr in clusters)
     dm = np.asarray(dm)
     for _ in range(config.max_iter):
-        excluded, fit_regions = _fit_regions(significant, sr.m)
-        sub_dm = dm[np.ix_(fit_regions, fit_regions)]
-        fit = fit_model2(y[fit_regions], n[fit_regions], sub_dm, config.prior,
-                         config=config.mcmc, seed=rng.integers(2**63))
-        beta_hat, sigma_hat, rho_hat, rho_grid = posterior_means(fit)
-        reference, sim_info = _fitted_reference(dm, sigma_hat, rho_grid)(
+        excluded, fit = _screened_fit(significant, y, n, dm, config.prior, config.mcmc,
+                                      rng.integers(2**63))
+        summary = _fit_summary(fit)
+        reference, sim_info = _fitted_reference(dm, summary["sigma"], summary["rho_grid"])(
             n, y.sum(), windows, rng, config.M, sr.ids)
         adjusted = tuple((c, llr, rank_pvalue(llr, reference)) for c, llr in clusters)
         new_significant = _screen(clusters, reference, config.alpha_screen)
         iterations.append({
             "excluded_regions": excluded,
-            "fit": {"beta": beta_hat, "sigma": sigma_hat, "rho": rho_hat,
-                    "rho_grid": rho_grid, "ess": fit.ess,
-                    "warnings": list(fit.warnings)},
+            "fit": summary,
             "simulation": sim_info,
             "reference_quantiles": {
                 "q50": float(np.quantile(reference, 0.5)),
@@ -227,8 +230,8 @@ def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_peri
     n_train = sr.period_populations(train_period)
     fit = fit_model2(y_train, n_train, dm, config.prior, config=config.mcmc,
                      seed=rng.integers(2**63))
-    beta_hat, sigma_hat, rho_hat, rho_grid = posterior_means(fit)
-    sample = _fitted_reference(np.asarray(dm), sigma_hat, rho_grid)
+    summary = _fit_summary(fit)
+    sample = _fitted_reference(np.asarray(dm), summary["sigma"], summary["rho_grid"])
 
     results = []
     for period in test_periods:
@@ -251,7 +254,6 @@ def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_peri
         })
     return {
         "train_period": train_period,
-        "fit": {"beta": beta_hat, "sigma": sigma_hat, "rho": rho_hat,
-                "rho_grid": rho_grid, "ess": fit.ess, "warnings": list(fit.warnings)},
+        "fit": summary,
         "periods": results,
     }

@@ -144,6 +144,8 @@ def cmd_surveil(args, cfg):
     sr = load_study_region(args.geo, args.pop, args.cas)
     report = surveillance_run(sr, args.train_period, _adjusted_config(args, cfg))
     _emit(report, args.out)
+    if args.strict and report["fit"]["warnings"]:
+        return EXIT_WARN
     return EXIT_OK
 
 
@@ -248,17 +250,18 @@ def cmd_check_theory(args, cfg):
 
 
 def cmd_synth_geo(args, cfg):
-    sr = synth_geometry(args.m, seed=args.seed or 0,
+    sr = synth_geometry(args.m, seed=args.seed or 0, periods=args.periods, cases=args.cases,
+                        outbreak_period=args.outbreak_period,
                         **_given(cfg, "pop_log_mean", "pop_log_sd"))
     header = [f"# synthetic geometry m={args.m} seed={args.seed or 0}"]
-    geo = [f"{rid} {x:.4f} {y:.4f}" for rid, (x, y) in zip(sr.ids, sr.centroids)]
-    pops = [f"{pop:.2f}" for pop in sr.populations[0]]
-    if not args.out:
-        _write("\n".join(header + [f"{g} {p}" for g, p in zip(geo, pops)]) + "\n", None)
-        return EXIT_OK
-    # the geometry and population files that --geo and --pop read
-    for path, lines in ((args.out, geo),
-                        (args.out + ".pop", [f"{rid} {p}" for rid, p in zip(sr.ids, pops)])):
+    # the files that --geo, --pop and --cas read; one period has no period column
+    labels = [""] if sr.n_periods == 1 else [f"{p} " for p in sr.periods]
+    pops = [f"{rid} {t}{v:.2f}" for t, row in zip(labels, sr.populations)
+            for rid, v in zip(sr.ids, row)]
+    cases = [f"{rid} {t}{c}" for t, row in zip(labels, sr.cases) for rid, c in zip(sr.ids, row)]
+    for path, lines in (
+            (args.out, [f"{rid} {x:.4f} {y:.4f}" for rid, (x, y) in zip(sr.ids, sr.centroids)]),
+            (args.out + ".pop", pops), (args.out + ".cas", cases)):
         _write("\n".join(header + lines) + "\n", path)
     return EXIT_OK
 
@@ -269,9 +272,6 @@ def build_parser():
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config key (dotted path)")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out-dir", dest="out_dir", default=None)
-    parser.add_argument("--strict", action="store_true",
-                        help="escalate non-convergence warnings to exit code 4")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_region_args(p):
@@ -287,6 +287,10 @@ def build_parser():
     def add_mc_size(p):
         p.add_argument("--mc-size", dest="mc_size", type=int, default=999)
 
+    def add_strict(p):
+        p.add_argument("--strict", action="store_true",
+                       help="escalate non-convergence warnings to exit code 4")
+
     p = sub.add_parser("scan", help="classical scan with Monte Carlo p-value")
     add_region_args(p)
     add_mc_size(p)
@@ -295,12 +299,14 @@ def build_parser():
     p = sub.add_parser("fit", help="fit the spatial mixed model by MCMC")
     add_region_args(p)
     add_rho_upper(p)
+    add_strict(p)
     p.set_defaults(func=cmd_fit, settings=MCMC_KEYS)
 
     p = sub.add_parser("adjusted-scan", help="correlation-adjusted scan")
     add_region_args(p)
     add_rho_upper(p)
     add_mc_size(p)
+    add_strict(p)
     p.set_defaults(func=cmd_adjusted_scan,
                    settings=("alpha_screen", "max_iter", "max_window_fraction", *MCMC_KEYS))
 
@@ -309,6 +315,7 @@ def build_parser():
     add_rho_upper(p)
     add_mc_size(p)
     p.add_argument("--train-period", dest="train_period", required=True)
+    add_strict(p)
     p.set_defaults(func=cmd_surveil, settings=("max_window_fraction", *MCMC_KEYS))
 
     for name, fn, settings in (
@@ -325,6 +332,8 @@ def build_parser():
         p.add_argument("--rho", type=float, default=50.0)
         p.add_argument("--replicates", type=int, default=200)
         p.add_argument("--out", default=None)
+        p.add_argument("--out-dir", dest="out_dir", default=None,
+                       help="also write a JSON manifest and a proportions CSV here")
         add_mc_size(p)
         if name == "adjusted-study":  # only the fitted mode has a range prior
             add_rho_upper(p)
@@ -343,9 +352,12 @@ def build_parser():
 
     p = sub.add_parser("synth-geo", help="generate a synthetic study geometry")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", default=None,
-                   help="write 'id x y' here and 'id population' to OUT.pop "
-                        "(default: 'id x y population' lines on stdout)")
+    p.add_argument("--periods", type=int, default=1)
+    p.add_argument("--cases", type=int, default=0, help="cases drawn per period")
+    p.add_argument("--outbreak-period", dest="outbreak_period", type=int, default=None,
+                   help="index of a period to plant an outbreak in")
+    p.add_argument("--out", required=True,
+                   help="write 'id x y' here, populations to OUT.pop and counts to OUT.cas")
     p.set_defaults(func=cmd_synth_geo, settings=("pop_log_mean", "pop_log_sd"))
     return parser
 

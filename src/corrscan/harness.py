@@ -9,23 +9,22 @@ import math
 import os
 import tempfile
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .adjusted import (
     AdjustedScanConfig,
     _clusters_of,
-    _fit_regions,
     _fitted_reference,
     _screen,
+    _screened_fit,
     simulate_model2_counts,
     train_test_adjusted_scan,
 )
 from .fdr import fit_fdr_model, nudge_boundary_p, p_to_z
 from .matern import MaternParams, NotPositiveDefiniteError, cholesky, matern_cov
-from .mcmc import (ChainDivergenceError, McmcConfig, PriorSpec, TooFewRegionsError,
-                   ZeroCountsError, fit_model2)
+from .mcmc import ChainDivergenceError, McmcConfig, PriorSpec, TooFewRegionsError, ZeroCountsError
 from .region import (InputError, StudyRegion, _check_real, _check_whole, _real_tuple,
                      distance_matrix, enumerate_windows)
 from .scan import llr_star_batch, model1_simulator, rank_pvalue, scan
@@ -118,25 +117,42 @@ class ProportionTable:
         return "\n".join(lines) + "\n"
 
 
-def synth_geometry(m, seed=None, pop_log_mean=10.0, pop_log_sd=1.0) -> StudyRegion:
+def synth_geometry(m, seed=None, pop_log_mean=10.0, pop_log_sd=1.0, periods=1, cases=0,
+                   outbreak_period=None) -> StudyRegion:
     """Uniform random centroids in the square [8, 162]^2 with lognormal
-    populations, as one period labelled "all"."""
+    populations, held fixed over ``periods`` periods.
+
+    Each period's counts are a multinomial draw of ``cases`` in proportion to
+    population, from the separate stream ``seed + 1``.  In ``outbreak_period``
+    each count c of the three regions nearest region 0 gains Poisson(3c + 5)
+    cases.  One period is labelled "all" and more are labelled "0", "1", ...,
+    so that the written files read back in the same period order."""
     _check_whole("m", m, 1)
     _check_real("pop_log_mean", pop_log_mean)
     _check_real("pop_log_sd", pop_log_sd, lambda v: v >= 0, "a number >= 0")
+    _check_whole("periods", periods, 1)
+    _check_whole("cases", cases, 0)
+    if outbreak_period is not None:
+        _check_real("outbreak_period", outbreak_period, lambda v: 0 <= v < periods,
+                    f"a whole number in [0, {periods})", (int, np.integer))
     rng = np.random.default_rng(seed)
     x0, x1, y0, y1 = 8.0, 162.0, 8.0, 162.0
     xs = rng.uniform(x0, x1, m)
     ys = rng.uniform(y0, y1, m)
     pops = rng.lognormal(pop_log_mean, pop_log_sd, m)
-    ids = tuple(f"R{i:03d}" for i in range(m))
-    return StudyRegion(
-        ids=ids,
+    sr = StudyRegion(
+        ids=tuple(f"R{i:03d}" for i in range(m)),
         centroids=np.column_stack([xs, ys]),
-        periods=("all",),
-        populations=pops[None, :],
-        cases=np.zeros((1, m), dtype=np.int64),
+        periods=("all",) if periods == 1 else tuple(str(k) for k in range(periods)),
+        populations=np.tile(pops, (periods, 1)),
+        cases=np.zeros((periods, m), dtype=np.int64),
     )
+    rng = np.random.default_rng(None if seed is None else seed + 1)
+    counts = rng.multinomial(cases, pops / pops.sum(), size=periods)
+    if outbreak_period is not None:
+        blob = np.argsort(distance_matrix(sr)[0])[:3]
+        counts[outbreak_period, blob] += rng.poisson(3 * counts[outbreak_period, blob] + 5)
+    return replace(sr, cases=counts)
 
 
 def type1_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTable:
@@ -224,10 +240,8 @@ def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, rng, rn
     # make this mode indistinguishable from adjusted_true_params.
     screen = llr_star_batch(null(rng_fit, cfg.mc_size), n, windows)
     clusters = _clusters_of(scan(sr, windows, counts=counts))
-    _, fit_idx = _fit_regions(_screen(clusters, screen), sr.m)
-    sub = np.ix_(fit_idx, fit_idx)
-    fit = fit_model2(counts[fit_idx], n[fit_idx], dm[sub], prior, config=cfg.mcmc,
-                     seed=rng_fit.integers(2**63))
+    _, fit = _screened_fit(_screen(clusters, screen), counts, n, dm, prior, cfg.mcmc,
+                           rng_fit.integers(2**63))
     j = int(rng_fit.integers(len(fit.sigma)))
     sample = _fitted_reference(dm, float(fit.sigma[j]), float(fit.rho[j]))
     return sample(n, counts.sum(), windows, rng, cfg.mc_size, sr.ids)[0]

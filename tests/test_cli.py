@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from corrscan import load_study_region, synth_geometry
-from corrscan.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser, main
+from corrscan.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_WARN, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -123,18 +124,64 @@ def test_unfittable_data_is_an_input_error(tmp_path, capsys, m, count, message):
 
 
 def test_synth_geo_command(tmp_path, capsys):
-    # --out writes the geometry and population files that --geo and --pop read
+    # --out writes the geometry, population and case files that --geo, --pop and --cas read
     out = str(tmp_path / "geo.txt")
     code = main(["--seed", "4", "synth-geo", "--m", "6", "--out", out])
     assert code == EXIT_OK
-    cas = tmp_path / "cas.txt"
-    cas.write_text("")
-    sr = load_study_region(out, out + ".pop", str(cas))
+    sr = load_study_region(out, out + ".pop", out + ".cas")
     want = synth_geometry(6, seed=4)
     assert sr.ids == want.ids
     assert np.max(np.abs(sr.centroids - want.centroids)) <= 5e-5  # written to 4 decimals
     assert np.max(np.abs(sr.populations - want.populations)) <= 5e-3  # to 2 decimals
     assert sr.total_cases() == 0
+    # more periods than 9, so a label sort by string would put "10" before "2"
+    code = main(["--seed", "4", "synth-geo", "--m", "6", "--periods", "12", "--cases", "50",
+                 "--outbreak-period", "10", "--out", out])
+    assert code == EXIT_OK
+    sr = load_study_region(out, out + ".pop", out + ".cas")
+    want = synth_geometry(6, seed=4, periods=12, cases=50, outbreak_period=10)
+    assert sr.periods == want.periods == tuple(str(k) for k in range(12))
+    assert np.array_equal(sr.cases, want.cases)
+    assert np.max(np.abs(sr.populations - want.populations)) <= 5e-3
+    assert sr.total_cases("10") > 50 == sr.total_cases("2")
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--periods", "0"], "periods must be a whole number >= 1, got 0", id="periods=0"),
+    pytest.param(["--cases", "-1"], "cases must be a whole number >= 0, got -1", id="cases=-1"),
+    pytest.param(["--periods", "5", "--outbreak-period", "5"],
+                 "outbreak_period must be a whole number in [0, 5), got 5", id="outbreak=periods"),
+    pytest.param(["--outbreak-period", "-1"],
+                 "outbreak_period must be a whole number in [0, 1), got -1", id="outbreak=-1"),
+])
+def test_synth_geo_bad_counts_are_input_errors(tmp_path, capsys, flags, message):
+    out = tmp_path / "geo.txt"
+    assert main(["synth-geo", "--m", "6", *flags, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+def test_synth_geo_needs_out(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth-geo", "--m", "6"])
+    assert exc.value.code == EXIT_INPUT
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
+def test_surveil_strict_exits_4_on_fit_warnings(tmp_path):
+    geo = str(tmp_path / "geo.txt")
+    assert main(["--seed", "0", "synth-geo", "--m", "8", "--periods", "3", "--cases", "300",
+                 "--out", geo]) == EXIT_OK
+    report = tmp_path / "surveil.json"
+    argv = ["--seed", "0", "--set", "mcmc.n_iter=150", "--set", "mcmc.burn_in=50",
+            "--set", "mcmc.thin=1", "surveil", "--geo", geo, "--pop", geo + ".pop",
+            "--cas", geo + ".cas", "--train-period", "0", "--mc-size", "99",
+            "--out", str(report)]
+    assert main(argv) == EXIT_OK
+    warnings = json.loads(report.read_text())["fit"]["warnings"]
+    assert warnings
+    assert main([*argv, "--strict"]) == EXIT_WARN
+    assert json.loads(report.read_text())["fit"]["warnings"] == warnings
 
 
 def test_type1_study_command(tmp_path, capsys):
@@ -187,7 +234,7 @@ def test_check_theory_two_components_take_the_monte_carlo_path(capsys):
     assert main([*two, "--set", "n_grid=[10,30,100]", "check-theory"]) == EXIT_OK
 
 
-CHAINS = (("cli", "fit_model2"), ("adjusted", "fit_model2"), ("harness", "fit_model2"))
+CHAINS = (("cli", "fit_model2"), ("adjusted", "fit_model2"))
 
 
 def _forbid(monkeypatch, names):
@@ -356,19 +403,22 @@ def test_overflowing_population_total_is_an_input_error(region_files, tmp_path, 
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param(["--set", "pop_log_mean=1000", "synth-geo", "--m", "4"],
+    pytest.param(["--set", "pop_log_mean=1000", "synth-geo", "--m", "4", "--out", "g.txt"],
                  "non-finite population", id="pop_log_mean=1000"),
-    pytest.param(["--set", "pop_log_mean=abc", "synth-geo", "--m", "4"],
+    pytest.param(["--set", "pop_log_mean=abc", "synth-geo", "--m", "4", "--out", "g.txt"],
                  "pop_log_mean must be", id="pop_log_mean=abc"),
-    pytest.param(["--set", "pop_log_sd=-1", "synth-geo", "--m", "4"],
+    pytest.param(["--set", "pop_log_sd=-1", "synth-geo", "--m", "4", "--out", "g.txt"],
                  "pop_log_sd must be a number >= 0", id="pop_log_sd=-1"),
     pytest.param(["type1-study", "--m", "8", "--beta", "nan", "--replicates", "2",
                   "--mc-size", "19"], "beta must be a finite number", id="beta=nan"),
     pytest.param(["type1-study", "--m", "8", "--beta", "40", "--replicates", "2",
                   "--mc-size", "19"], "beta=40 is too large", id="beta=40"),
 ])
-def test_bad_study_and_geometry_inputs_are_input_errors(argv, message, capsys):
+def test_bad_study_and_geometry_inputs_are_input_errors(argv, message, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_INPUT
+    assert not os.listdir(tmp_path)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ") and message in captured.err
@@ -377,9 +427,38 @@ def test_bad_study_and_geometry_inputs_are_input_errors(argv, message, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["fit", "--geo", "g", "--pop", "p", "--cas", "c"], ["--mc-size", "99"]),
     (["type1-study"], ["--rho-upper", "30"]),
+    (["scan", "--geo", "g", "--pop", "p", "--cas", "c"], ["--strict"]),
+    (["scan", "--geo", "g", "--pop", "p", "--cas", "c"], ["--out-dir", "x"]),
+    (["type1-study"], ["--strict"]),
+    (["fit", "--geo", "g", "--pop", "p", "--cas", "c"], ["--out-dir", "x"]),
 ])
 def test_commands_refuse_flags_they_do_not_read(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, *flag])
     assert exc.value.code == EXIT_INPUT
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--strict"], "unrecognized arguments: --strict"),
+    (["--out-dir", "x"], "invalid choice: 'x'"),
+])
+def test_strict_and_out_dir_are_not_global_flags(flag, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*flag, "fit", "--geo", "g", "--pop", "p", "--cas", "c"])
+    assert exc.value.code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+def test_readme_synthetic_surveillance_commands_run(tmp_path, monkeypatch):
+    block = re.search(r"^```sh\n(corrscan [^\n]*synth-geo .*?)^```$", README.read_text(),
+                      flags=re.M | re.S).group(1)
+    synth, surveil = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+    assert "synth-geo" in synth and "surveil" in surveil
+    monkeypatch.chdir(tmp_path)
+    assert main(synth) == EXIT_OK
+    assert main(surveil) == EXIT_OK
+    planted = synth[synth.index("--outbreak-period") + 1]
+    rows = json.loads(Path(surveil[surveil.index("--out") + 1]).read_text())["periods"]
+    hot = next(r for r in rows if r["period"] == planted)
+    assert hot["adjusted_p"] == min(r["adjusted_p"] for r in rows)

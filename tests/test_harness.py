@@ -12,8 +12,8 @@ from corrscan import (
     AdjustedScanConfig,
     ExperimentConfig,
     PriorSpec,
-    StudyRegion,
     adjusted_study,
+    distance_matrix,
     surveillance_run,
     synth_geometry,
     type1_study,
@@ -70,6 +70,20 @@ def test_synth_geometry_deterministic_and_bounded():
 def test_synth_geometry_rejects_empty():
     with pytest.raises(ValueError):
         synth_geometry(0)
+
+
+def test_synth_geometry_draws_cases_and_plants_the_outbreak():
+    base = synth_geometry(12, seed=3)
+    quiet = synth_geometry(12, seed=3, periods=6, cases=400)
+    sr = synth_geometry(12, seed=3, periods=6, cases=400, outbreak_period=4)
+    assert sr.periods == ("0", "1", "2", "3", "4", "5")
+    assert np.array_equal(sr.centroids, base.centroids)
+    assert np.array_equal(sr.populations, np.tile(base.populations, (6, 1)))
+    assert [quiet.total_cases(p) for p in quiet.periods] == [400] * 6
+    extra = sr.cases - quiet.cases
+    assert not np.delete(extra, 4, axis=0).any()
+    blob = np.argsort(distance_matrix(sr)[0])[:3]
+    assert set(np.flatnonzero(extra[4])) == set(blob)
 
 
 # ------------------------------------------------------- proportion table
@@ -156,7 +170,7 @@ def test_fitted_replicate_with_too_few_clean_regions_is_dropped():
 
 
 def _fitted_study_with_fit(monkeypatch, fake_fit):
-    import corrscan.harness as harness
+    import corrscan.adjusted as adjusted  # the study's fit runs in adjusted._screened_fit
 
     calls = []
 
@@ -164,7 +178,7 @@ def _fitted_study_with_fit(monkeypatch, fake_fit):
         calls.append(1)
         return fake_fit(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "fit_model2", fit)
+    monkeypatch.setattr(adjusted, "fit_model2", fit)
     sr = synth_geometry(16, seed=6)
     table = adjusted_study(sr, _cfg(mode="adjusted_fitted", replicates=3, beta=-5.0,
                                     rho_upper=10))
@@ -206,32 +220,21 @@ def test_too_few_clean_regions_is_counted_under_its_cause():
 # ------------------------------------------------------------- surveillance
 
 def _multi_period_region(n_periods, seed=0, cases=600, m=10, hot_period=None):
-    sr = synth_geometry(m, seed=seed)
-    n = sr.populations[0]
-    rng = np.random.default_rng(seed + 1)
-    counts = rng.multinomial(cases, n / n.sum(), size=n_periods)
-    if hot_period is not None:
-        # concentrate a blob of extra cases in the three closest regions
-        from corrscan import distance_matrix
-        dm = distance_matrix(sr)
-        blob = np.argsort(dm[0])[:3]
-        counts[hot_period, blob] += rng.poisson(3 * counts[hot_period, blob] + 5)
-    periods = tuple(f"t{k}" for k in range(n_periods))
-    return StudyRegion(ids=sr.ids, centroids=sr.centroids, periods=periods,
-                       populations=np.tile(n, (n_periods, 1)), cases=counts)
+    return synth_geometry(m, seed=seed, periods=n_periods, cases=cases,
+                          outbreak_period=hot_period)
 
 
 def test_surveillance_needs_two_periods():
     sr = _multi_period_region(1)
     cfg = AdjustedScanConfig(prior=PriorSpec(15), M=99, mcmc=FAST, seed=0)
     with pytest.raises(ValueError, match="2 periods"):
-        surveillance_run(sr, "t0", cfg)
+        surveillance_run(sr, "all", cfg)
 
 
 def test_surveillance_few_periods_skips_fdr():
     sr = _multi_period_region(3, seed=10)
     cfg = AdjustedScanConfig(prior=PriorSpec(15), M=99, mcmc=FAST, seed=1)
-    report = surveillance_run(sr, "t0", cfg)
+    report = surveillance_run(sr, "0", cfg)
     assert len(report["periods"]) == 2
     assert report["fdr_fit"] is None
     for row in report["periods"]:
@@ -242,10 +245,10 @@ def test_surveillance_few_periods_skips_fdr():
 def test_surveillance_planted_period_flagged():
     sr = _multi_period_region(36, seed=20, hot_period=17)
     cfg = AdjustedScanConfig(prior=PriorSpec(15), M=99, mcmc=FAST, seed=2)
-    report = surveillance_run(sr, "t0", cfg)
+    report = surveillance_run(sr, "0", cfg)
     rows = report["periods"]
     assert len(rows) == 35
-    hot = next(r for r in rows if r["period"] == "t17")
+    hot = next(r for r in rows if r["period"] == "17")
     assert hot["adjusted_p"] == min(r["adjusted_p"] for r in rows)
     if report["fdr_fit"] and "error" not in report["fdr_fit"]:
         assert hot["fdr"] == min(r["fdr"] for r in rows)
@@ -255,7 +258,7 @@ def test_surveillance_pure_noise_fdr_quiet():
     sr = _multi_period_region(40, seed=30)
     for seed in (3, 4, 5):
         cfg = AdjustedScanConfig(prior=PriorSpec(15), M=99, mcmc=FAST, seed=seed)
-        report = surveillance_run(sr, "t0", cfg)
+        report = surveillance_run(sr, "0", cfg)
         assert "error" not in report["fdr_fit"]
         flagged = [r["period"] for r in report["periods"] if r["fdr"] < 0.1]
         assert flagged == [], f"seed {seed}"
