@@ -135,6 +135,9 @@ def synth_geometry(m, seed=None, pop_log_mean=10.0, pop_log_sd=1.0, periods=1, c
     if outbreak_period is not None:
         _check_real("outbreak_period", outbreak_period, lambda v: 0 <= v < periods,
                     f"a whole number in [0, {periods})", (int, np.integer))
+        if 4 * cases + 5 > _POISSON_RATE_MAX:  # counts c + Poisson(3c + 5), c <= cases
+            raise InputError(f"cases={cases} is too large for an outbreak: its counts "
+                             f"c + Poisson(3c + 5) would exceed {_POISSON_RATE_MAX:.2g}")
     rng = np.random.default_rng(seed)
     x0, x1, y0, y1 = 8.0, 162.0, 8.0, 162.0
     xs = rng.uniform(x0, x1, m)

@@ -8,6 +8,7 @@ single comma; lines starting with '#' are ignored.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,17 +32,28 @@ class InputError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+def _finite(value):
+    """Whether the number ``value`` is finite; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_real(name, value, ok=lambda v: True, wanted="a finite number",
                 kind=(int, float, np.integer, np.floating)):
     """Raise :class:`InputError` naming ``name`` unless ``value`` is a finite
     number of ``kind`` (never a bool) for which ``ok`` holds."""
     if isinstance(value, bool) or not isinstance(value, kind) or not (
-            np.isfinite(value) and ok(value)):
+            _finite(value) and ok(value)):
         raise InputError(f"{name} must be {wanted}, got {value!r}")
 
 
 def _check_whole(name, value, least):
-    """:func:`_check_real` for a whole number (an int) of at least ``least``."""
+    """:func:`_check_real` for a whole number (an int) of at least ``least``
+    that fits in int64."""
+    if isinstance(value, int) and value > np.iinfo(np.int64).max:
+        raise InputError(f"{name} must be a whole number below 2**63, got {value!r}")
     _check_real(name, value, lambda v: v >= least, f"a whole number >= {least}", (int, np.integer))
 
 

@@ -119,7 +119,8 @@ def _as_counts(counts, m):
 
 # values in one block of the stream in llr_star_batch, small enough that a
 # band's five buffers stay in cache: at m = 400 with 999 rows, 1 << 16 took
-# 1.3-1.4 s per call and 1 << 18 took 1.6-1.8 s on a 2-CPU x86-64 host
+# 1.3-1.4 s per call and 1 << 18 took 1.6-1.8 s on a 2-CPU x86-64 host.  It
+# also bounds the ``k log k`` table of :func:`_xlogx_table` (512 KB at most)
 _STREAM_ELEMENTS = 1 << 16
 
 
@@ -129,6 +130,22 @@ def _xlogx(v, out):
     np.log(out, out=out)
     out *= v
     return out
+
+
+def _xlogx_table(y_g):
+    """:func:`_xlogx` of ``0 .. max(y_g)`` for row totals ``y_g``, or None.
+
+    With one total Y the entry k holds ``T(k) + T(Y - k)``, so that one
+    gather gives both count terms.  Entries equal what :func:`_xlogx`
+    computes bit for bit.  None (evaluate the logs) once the largest total
+    reaches ``_STREAM_ELEMENTS``, so no table outgrows one stream block.
+    """
+    top = int(y_g.max())
+    if top >= _STREAM_ELEMENTS:
+        return None
+    k = np.arange(top + 1.0)
+    table = _xlogx(k, np.empty_like(k))
+    return table + table[::-1] if len(y_g) == 1 else table
 
 
 def _population_terms(populations, windows: WindowSet):
@@ -149,34 +166,48 @@ def _population_terms(populations, windows: WindowSet):
     return n_g, (n_c, np.log(mu) - log_out, log_out, gated)
 
 
-def _llr_kernel(y_c, y_g, n_g, terms, out, tmp, low):
+def _llr_kernel(y_c, y_g, n_g, terms, table, out, tmp, high, index):
     """Statistic of windows holding ``y_c`` of ``y_g`` cases, written into ``out``.
 
     With whole-number counts the statistic is
     ``T(y) + T(Y-y) - T(Y) - y log mu - (Y-y) log(1-mu)``, where
     ``T(k) = k log k``, ``y`` the window count, ``Y`` the row total and
     ``mu = n_c / N`` the window's population share; ``terms`` are the
-    windows' entries of :func:`_population_terms`.  It is gated to zero
-    unless ``y N > Y n_c`` (inside rate higher), and for the windows marked
-    ``gated``.  Gated-in values are not clamped at zero, so callers take
-    ``max(., 0)``.  :func:`scan` and :func:`llr_star_batch` both evaluate
-    through this function, so equal count vectors give bit-equal statistics.
-    The terms are of size ``Y log Y``, so the absolute rounding error grows
-    with the total: about ``2 eps Y log Y`` against the rate-ratio form of
-    :func:`log_lr_vector`.
+    windows' entries of :func:`_population_terms`.  ``T(y) + T(Y-y)`` is
+    gathered from ``table``, the :func:`_xlogx_table` of ``y_g``, and
+    evaluated by logs when it is None; both give the same bits.  The value
+    returned is clamped at zero and gated to zero unless ``y N > Y n_c``
+    (inside rate higher), and for the windows marked ``gated``; the gate is
+    a multiply by a boolean, not a branch per element.  :func:`scan` and
+    :func:`llr_star_batch` both evaluate through this function, so equal
+    count vectors give bit-equal statistics.  The terms are of size
+    ``Y log Y``, so the absolute rounding error grows with the total: about
+    ``2 eps Y log Y`` against the rate-ratio form of :func:`log_lr_vector`.
 
-    ``tmp`` holds two float arrays and ``low`` one boolean array of
-    ``out``'s shape, used as scratch.
+    ``tmp`` holds two float arrays, ``high`` one boolean and ``index`` one
+    intp array of ``out``'s shape, used as scratch.
     """
     n_c, logit, log_out, gated = terms
-    _xlogx(y_c, out)
-    np.subtract(y_g, y_c, out=tmp[0])
-    out += _xlogx(tmp[0], tmp[1])
+    if table is None:
+        _xlogx(y_c, out)
+        np.subtract(y_g, y_c, out=tmp[0])
+        out += _xlogx(tmp[0], tmp[1])
+    else:
+        np.copyto(index, y_c, casting="unsafe")
+        np.take(table, index, out=out, mode="clip")
+        if len(y_g) > 1:  # unequal totals: T(y) and T(Y-y) are two gathers
+            np.subtract(y_g.astype(np.intp), index, out=index)
+            out += np.take(table, index, out=tmp[0], mode="clip")
     out -= np.multiply(y_c, logit, out=tmp[0])
     out -= _xlogx(y_g, np.empty_like(y_g)) + y_g * log_out
-    np.less_equal(np.multiply(y_c, n_g, out=tmp[0]), np.multiply(y_g, n_c, out=tmp[1]), out=low)
-    np.putmask(out, low, 0.0)
-    out[gated] = 0.0
+    # one total keeps Y n_c one column wide
+    rhs = y_g * n_c if len(y_g) == 1 else np.multiply(y_g, n_c, out=tmp[1])
+    np.greater(np.multiply(y_c, n_g, out=tmp[0]), rhs, out=high)
+    high[gated] = False
+    # clamp before the multiply, so that no -0.0 appears; fmax also maps the
+    # NaN of 0 * log 0 (a share that underflows to 0) to 0, which False * NaN keeps
+    np.fmax(out, 0.0, out=out)
+    out *= high
     return out
 
 
@@ -205,16 +236,15 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
     if len(windows) == 0:
         raise ValueError("no candidate windows")
     y = _as_counts(counts if counts is not None else sr.period_cases(period), sr.m)
-    y_g = int(y.sum())
-    if y_g == 0:
+    if not y.any():
         return ScanResult(0.0, None, 0, 0.0, ())
     n_g, terms = _population_terms(sr.period_populations(period), windows)
     n_c = terms[0]
     y_c = windows.window_sums(y.astype(float))[:, 0]
+    y_g = y.sum(axis=1).astype(float)
     out, *tmp = np.empty((3, len(y_c)))
-    llr = _llr_kernel(y_c, y.sum(axis=1).astype(float), n_g, terms, out, tmp,
-                      np.empty(len(y_c), dtype=bool))
-    llr = np.maximum(llr, 0.0)
+    llr = _llr_kernel(y_c, y_g, n_g, terms, _xlogx_table(y_g), out, tmp,
+                      np.empty(len(y_c), dtype=bool), np.empty(len(y_c), dtype=np.intp))
 
     positive = np.flatnonzero(llr > 0)
     if len(positive):
@@ -282,10 +312,12 @@ def llr_star_batch(counts, populations, windows: WindowSet):
         y_g = block.sum(axis=1).astype(float)  # whole numbers below 2**53 are exact
         if (y_g == y_g[0]).all():
             y_g = y_g[:1]  # one total: the row terms stay one column wide
+        table = _xlogx_table(y_g)
         values = np.ascontiguousarray(block.T, dtype=float)
         band = min(width, max(1, _STREAM_ELEMENTS // (centres * k)))
         buffers = np.empty((5, band * centres * k))
-        low = np.empty(buffers.shape[1], dtype=bool)
+        high = np.empty(buffers.shape[1], dtype=bool)
+        index = np.empty(buffers.shape[1], dtype=np.intp)
         running = np.zeros((centres, k))
         top = best[s:s + step]
         for j in range(0, width, band):
@@ -299,11 +331,12 @@ def llr_star_batch(counts, populations, windows: WindowSet):
                 y[i] += y[i - 1]
             running[:c] = y[-1]
             w = slice(start[j], start[stop])
-            views = [a[:(w.stop - w.start) * k].reshape(-1, k) for a in (*buffers[1:], low)]
+            views = [a[:(w.stop - w.start) * k].reshape(-1, k)
+                     for a in (*buffers[1:], high, index)]
             y_c = np.take(y.reshape(-1, k), (depth[w] - j) * c + slot[w], axis=0,
                           out=views[0], mode="clip")
-            llr = _llr_kernel(y_c, y_g, n_g, [a[w] for a in terms], views[1], views[2:4],
-                              views[4])
+            llr = _llr_kernel(y_c, y_g, n_g, [a[w] for a in terms], table, views[1],
+                              views[2:4], *views[4:])
             np.maximum(top, llr.max(axis=0, initial=0.0), out=top)
     return best
 

@@ -283,6 +283,10 @@ def test_unread_settings_key_is_an_input_error(region_files, no_work, capsys, se
     pytest.param(["mcmc.n_iter=abc"], ["fit"], "n_iter must be", id="n_iter=abc"),
     pytest.param(["mcmc.n_iter=1e3"], ["fit"], "n_iter must be", id="n_iter=1e3"),
     pytest.param(["mcmc.thin=1.5"], ["fit"], "thin must be", id="thin=1.5"),
+    # whole numbers beyond int64 and ints beyond float range are rejected, not
+    # passed to np.isfinite (which raised TypeError on them)
+    pytest.param(["mcmc.n_iter=99999999999999999999"], ["fit"],
+                 "n_iter must be a whole number below 2**63", id="n_iter=1e20"),
     pytest.param(["alpha_screen=abc"], ["adjusted-scan"], "alpha_screen must be",
                  id="alpha_screen=abc"),
     pytest.param(["max_window_fraction=2"], ["adjusted-scan"], "max_window_fraction must be",
@@ -290,6 +294,8 @@ def test_unread_settings_key_is_an_input_error(region_files, no_work, capsys, se
     pytest.param(["max_window_fraction=2"], ["scan"], "max_window_fraction must be",
                  id="scan-max_window_fraction=2"),
     pytest.param(["sigma_grid=abc"], ["type1-study"], "sigma_grid must be", id="sigma_grid=abc"),
+    pytest.param([f"sigma_grid=[1{'0' * 400}]"], ["type1-study"],
+                 "sigma_grid must be a list of numbers >= 0", id="sigma_grid=1e400"),
     pytest.param(["spline_df=abc"], ["fdr", 40], "spline_df must be", id="spline_df=abc"),
     pytest.param(["spline_df=2.5"], ["fdr", 40], "spline_df must be", id="spline_df=2.5"),
     pytest.param([], ["fdr", 29], "at least 30", id="fdr-29-rows"),
@@ -413,6 +419,17 @@ def test_overflowing_population_total_is_an_input_error(region_files, tmp_path, 
                   "--mc-size", "19"], "beta must be a finite number", id="beta=nan"),
     pytest.param(["type1-study", "--m", "8", "--beta", "40", "--replicates", "2",
                   "--mc-size", "19"], "beta=40 is too large", id="beta=40"),
+    pytest.param(["type1-study", "--m", "8", "--replicates", "99999999999999999999"],
+                 "replicates must be a whole number below 2**63", id="replicates=1e20"),
+    pytest.param(["--set", "mcmc.n_iter=99999999999999999999", "adjusted-study", "--m", "8",
+                  "--replicates", "2", "--mc-size", "99"],
+                 "n_iter must be a whole number below 2**63", id="study-n_iter=1e20"),
+    pytest.param(["synth-geo", "--m", "4", "--cases", "99999999999999999999", "--out", "g.txt"],
+                 "cases must be a whole number below 2**63", id="cases=1e20"),
+    pytest.param(["synth-geo", "--m", "4", "--cases", "9000000000000000000",
+                  "--outbreak-period", "0", "--out", "g.txt"],
+                 "cases=9000000000000000000 is too large for an outbreak",
+                 id="outbreak-cases=9e18"),
 ])
 def test_bad_study_and_geometry_inputs_are_input_errors(argv, message, tmp_path, monkeypatch,
                                                         capsys):

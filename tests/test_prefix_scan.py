@@ -14,6 +14,7 @@ from corrscan.region import InputError
 from corrscan.scan import llr_star_batch, rank_pvalue
 
 from conftest import (
+    brute_force_scan,
     dense_scan,
     dense_window_llr,
     loop_enumerate_windows,
@@ -146,7 +147,9 @@ def test_streamed_maximum_matches_dense_and_scan(m, seed, frac, coincident, bloc
     # coincident centroids give duplicate member sets (dropped by the
     # enumeration), max_fraction = 1 admits the window of every region, and
     # the rows hold an all-zero row and unequal totals.  ``block`` shrinks the
-    # stream's blocks so that both one-position bands and row chunks run.
+    # stream's blocks so that both one-position bands and row chunks run.  The
+    # same constant bounds the k log k table, so at ``block`` 1 every block
+    # with a case, and at 40 most blocks, run the kernel's log path instead.
     rng = np.random.default_rng(seed)
     centroids = rng.uniform(0, 10, (m, 2))
     centroids[rng.integers(0, m, min(coincident, m))] = centroids[0]
@@ -165,6 +168,87 @@ def test_streamed_maximum_matches_dense_and_scan(m, seed, frac, coincident, bloc
     assert star[1] == 0.0
     for row, value in zip(counts, star):
         assert value == scan(sr, ws, counts=row).llr_star
+
+
+def _kernel(counts, populations, ws, one_total):
+    """The kernel on every window of ``ws`` for a (k, m) block, as llr_star_batch calls it."""
+    n_g, (n_c, logit, log_out, gated) = scan_module._population_terms(populations, ws)
+    y_c = ws.window_sums(counts.astype(float))
+    y_g = counts.sum(axis=1).astype(float)[:1 if one_total else None]
+    out, *tmp = np.empty((3, *y_c.shape))
+    return scan_module._llr_kernel(
+        y_c, y_g, n_g, (n_c[:, None], logit[:, None], log_out[:, None], gated),
+        scan_module._xlogx_table(y_g), out, tmp, np.empty(y_c.shape, dtype=bool),
+        np.empty(y_c.shape, dtype=np.intp))
+
+
+@pytest.mark.parametrize("kind", ["one total", "unequal totals", "all-zero row"])
+def test_table_and_log_paths_are_bit_equal(kind):
+    # T(y) + T(Y-y) comes from a k log k table unless the largest total
+    # reaches _STREAM_ELEMENTS; lowering that bound sends the same block
+    # through the logs, which must give the same bits
+    rng = np.random.default_rng(14)
+    sr = random_region(rng, 40)
+    ws = enumerate_windows(sr, distance_matrix(sr), 1.0)
+    n = sr.populations[0]
+    if kind == "one total":
+        counts = _null_batch(rng, sr, 30)
+    else:
+        counts = rng.integers(0, 40, (30, sr.m))
+    if kind == "all-zero row":
+        counts[3] = 0
+    assert scan_module._xlogx_table(counts.sum(axis=1)) is not None
+    table = _kernel(counts, n, ws, kind == "one total")
+    batch = llr_star_batch(counts, n, ws)
+    with mock.patch.object(scan_module, "_STREAM_ELEMENTS", 0):
+        assert scan_module._xlogx_table(counts.sum(axis=1)) is None
+        logs = _kernel(counts, n, ws, kind == "one total")
+        assert np.array_equal(llr_star_batch(counts, n, ws), batch)
+    assert np.array_equal(table, logs)
+    assert not np.signbit(table).any() and not np.signbit(batch).any()
+    assert np.array_equal(batch, table.max(axis=0))
+    dense = dense_window_llr(counts, n, [w.members for w in ws])[0]
+    assert np.max(np.abs(table - dense.T)) < 1e-10
+    if kind == "all-zero row":
+        assert not table[:, 3].any()
+
+
+def test_total_at_the_table_bound_takes_the_log_path():
+    # the one production input that reaches the log path: a row whose total
+    # is at least _STREAM_ELEMENTS.  It goes through the logs both alone in
+    # scan and in a batch with small rows, which keep their table-path bits
+    rng = np.random.default_rng(65536)
+    sr = random_region(rng, 12)
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    n = sr.populations[0]
+    total = scan_module._STREAM_ELEMENTS
+    p = n * np.r_[np.full(3, 1.5), np.ones(sr.m - 3)]  # a raised rate in regions 0-2
+    big = rng.multinomial(total, p / p.sum())
+    assert scan_module._xlogx_table(np.array([total - 1, total])) is None
+    small = _null_batch(rng, sr, 5)
+    star = llr_star_batch(np.vstack([big, small]), n, ws)
+    res = scan(sr, ws, counts=big)
+    assert star[0] == res.llr_star > 0
+    assert np.array_equal(star[1:], llr_star_batch(small, n, ws))
+    oracle, members = brute_force_scan(sr, big)
+    assert res.llr_star == pytest.approx(oracle, abs=4 * np.finfo(float).eps * total * np.log(total))
+    assert tuple(sorted(res.primary.members)) == members
+    assert not np.signbit(star).any() and not np.signbit(res.llr_star)
+
+
+def test_share_that_underflows_scores_zero_not_nan():
+    # populations 1e-20 against a total of 2e305 give a share that rounds to
+    # 0, whose logit is -inf: a window without cases there scores 0, as in
+    # the brute-force oracle, and the maximum stays finite
+    sr = StudyRegion(ids=("A", "B", "C", "D"), centroids=[[0, 0], [1, 0], [5, 0], [6, 0]],
+                     periods=("all",), populations=[[1e-20, 1e-20, 1e305, 1e305]],
+                     cases=[[0, 0, 3, 4]])
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        star = llr_star_batch([[0, 0, 3, 4], [0, 0, 0, 0]], sr.populations[0], ws)
+        res = scan(sr, ws)
+    assert star[0] == res.llr_star == pytest.approx(brute_force_scan(sr)[0], abs=1e-12)
+    assert star[1] == 0.0
 
 
 def test_stream_memory_stays_far_below_windows_by_rows():
