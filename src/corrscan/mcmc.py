@@ -9,6 +9,10 @@ full conditional, moves rho by Metropolis on its conditional with sigma
 integrated out (a collapsed step, Liu 1994), draws sigma exactly given rho,
 and adds two adaptive joint moves that shift and scale the field against beta
 and sigma.  Correlation-matrix factors are precomputed once per geometry.
+The variates every iteration needs (prior normals, move normals, accept
+uniforms, rho steps, gammas) are drawn for a block of ``_DRAW_BLOCK``
+iterations at a time; only the slice's shrink angles, whose number varies,
+are drawn one at a time.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ class RhoGridFactors:
     def quad_form(self, g, z):
         """z' R^{-1} z at grid index ``g``, by one triangular solve."""
         w = blas.dtrsv(self.chol[g].L, z, lower=1)
-        return float(w @ w)
+        return float(w.dot(w))
 
 
 @dataclass(frozen=True)
@@ -185,6 +189,7 @@ def effective_sample_size(x):
 
 
 _MAX_SHRINKS = 100
+_DRAW_BLOCK = 256  # iterations whose fixed variates come from one set of draws
 _ADAPT_INTERVAL = 50  # burn-in iterations between proposal-scale updates
 _TARGET_ACCEPT = 0.44  # acceptance rate the ridge and scale moves adapt towards
 _DIVERGENCE_FACTOR = 10.0  # sigma this far above its running median, for
@@ -193,14 +198,16 @@ _RHO_PROPOSALS = 2  # rho proposals per iteration, each moving the grid
 _RHO_STEP = 20  # index by U{1..20} up or down; off-grid proposals are rejected
 
 
-def elliptical_slice(z, prior_draw, loglik, current, rng):
+def elliptical_slice(z, prior_draw, loglik, current, u_level, u_angle, rng):
     """One elliptical slice update (Murray, Adams & MacKay 2010) of ``z`` under
-    a zero-mean Gaussian prior, given a fresh ``prior_draw`` from it and
-    ``current = loglik(z)``; a NaN or -inf log-likelihood never clears the
-    slice.  Returns ``(z, loglik, shrinks)``; after ``_MAX_SHRINKS`` shrinks
-    the state is kept, so rounding cannot make the loop spin forever."""
-    log_slice = current + math.log(rng.random())
-    theta = 2.0 * math.pi * rng.random()
+    a zero-mean Gaussian prior, given a fresh ``prior_draw`` from it,
+    ``current = loglik(z)`` and two uniforms that set the slice level and the
+    first angle; a NaN or -inf log-likelihood never clears the slice.  Each
+    shrink draws its angle by ``rng.random()``.  Returns
+    ``(z, loglik, shrinks)``; after ``_MAX_SHRINKS`` shrinks the state is
+    kept, so rounding cannot make the loop spin forever."""
+    log_slice = current + math.log(u_level)
+    theta = 2.0 * math.pi * u_angle
     lo, hi = theta - 2.0 * math.pi, theta
     for step in range(_MAX_SHRINKS):
         zp = z * math.cos(theta) + prior_draw * math.sin(theta)
@@ -211,18 +218,37 @@ def elliptical_slice(z, prior_draw, loglik, current, rng):
             lo = theta
         else:
             hi = theta
-        theta = rng.uniform(lo, hi)
+        theta = lo + (hi - lo) * rng.random()  # the bits of rng.uniform(lo, hi)
     return z, current, _MAX_SHRINKS
 
 
-def _gibbs_intercept(sum_y, s_pop, rng):
-    """beta | z under the flat prior: e^beta ~ Gamma(sum y, rate sum n e^z)."""
-    return math.log(rng.gamma(sum_y) / s_pop)
+def _draw_block(rng, size, m, sum_y):
+    """The fixed variates of ``size`` iterations, one sized call each: the
+    (size, m) standard normals of the slice's prior draw; the ridge and scale
+    normals (size, 2); the uniforms (size, 4 + _RHO_PROPOSALS) for the slice
+    level, the first angle, the ridge accept, each rho accept and the scale
+    accept, in the order an iteration uses them; the rho steps
+    (size, _RHO_PROPOSALS) in [-_RHO_STEP, _RHO_STEP); and standard gammas of
+    shape sum y and (m - 1) / 2 for the intercept and scale draws (numpy's
+    ``gamma(k, theta)`` is theta * ``standard_gamma(k)``)."""
+    return (rng.standard_normal((size, m)),
+            rng.standard_normal((size, 2)),
+            rng.random((size, 4 + _RHO_PROPOSALS)),
+            rng.integers(-_RHO_STEP, _RHO_STEP, (size, _RHO_PROPOSALS)),
+            rng.standard_gamma(sum_y, size),
+            rng.standard_gamma(0.5 * (m - 1), size))
 
 
-def _gibbs_sigma(quad, m, rng):
-    """sigma | z under the flat prior: sigma^-2 ~ Gamma((m-1)/2, rate z'R^{-1}z / 2)."""
-    return 1.0 / math.sqrt(rng.gamma(0.5 * (m - 1), 2.0 / quad))
+def _gibbs_intercept(gamma_draw, s_pop):
+    """beta | z under the flat prior: e^beta ~ Gamma(sum y, rate sum n e^z),
+    given a standard gamma of shape sum y."""
+    return math.log(gamma_draw / s_pop)
+
+
+def _gibbs_sigma(gamma_draw, quad):
+    """sigma | z under the flat prior: sigma^-2 ~ Gamma((m-1)/2, rate z'R^{-1}z / 2),
+    given a standard gamma of shape (m-1)/2."""
+    return 1.0 / math.sqrt(2.0 * gamma_draw / quad)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing rate is a rejection
@@ -241,11 +267,14 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
     rng = np.random.default_rng(seed)
     fac = RhoGridFactors(dm, prior)
     grid = fac.grid
-    rinv_total = fac.rinv_one.sum(axis=1)  # 1' R^{-1} 1 per grid point
+    chol = [f.L for f in fac.chol]
+    rinv_total = fac.rinv_one.sum(axis=1).tolist()  # 1' R^{-1} 1 per grid point
+    logdet = fac.logdet.tolist()
 
     # state
     beta = math.log(sum_y / n.sum())
     z = np.zeros(m)
+    s_pop = float(n.dot(np.exp(z)))  # sum n_i e^{z_i}, carried with z
     sigma = 0.1
     rho_idx = (len(grid) - 1) // 2
 
@@ -258,31 +287,42 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
     sigma_median = sigma
     div_streak = 0
 
+    eb = s_prop = 0.0
+
+    def loglik(v):  # Poisson log-likelihood at e^beta = eb; leaves sum n e^v in s_prop
+        nonlocal s_prop
+        s_prop = float(n.dot(np.exp(v)))
+        return float(y.dot(v)) - eb * s_prop
+
     for it in range(config.n_iter):
+        k = it % _DRAW_BLOCK
+        if k == 0:
+            prior_normals, *rest = _draw_block(rng, _DRAW_BLOCK, m, sum_y)
+            normals, uniforms, steps, gamma_beta, gamma_sigma = (b.tolist() for b in rest)
+        d_ridge, d_scale = normals[k]
+        u_level, u_angle, u_ridge, *u_rho, u_scale = uniforms[k]
         adapting = it < config.burn_in
 
         # latent field: elliptical slice update under N(0, sigma^2 R_rho)
         eb = math.exp(beta)
-
-        def loglik(v):
-            return float(y @ v) - eb * float(n @ np.exp(v))
-
-        prior_draw = sigma * (fac.chol[rho_idx].L @ rng.standard_normal(m))
-        z, _, shrinks = elliptical_slice(z, prior_draw, loglik, loglik(z), rng)
+        prior_draw = sigma * chol[rho_idx].dot(prior_normals[k])
+        z, _, shrinks = elliptical_slice(z, prior_draw, loglik, float(y.dot(z)) - eb * s_pop,
+                                         u_level, u_angle, rng)
+        if shrinks < _MAX_SHRINKS:
+            s_pop = s_prop
         z_first += shrinks == 0
-        s_pop = float(n @ np.exp(z))  # sum n_i e^{z_i}
 
-        beta = _gibbs_intercept(sum_y, s_pop, rng)
+        beta = _gibbs_intercept(gamma_beta[k], s_pop)
 
         # ridge move: shift beta up and the whole field down by the same
         # amount; the Poisson likelihood is invariant, only the Gaussian
         # prior changes, which decorrelates beta from the field level
-        delta = ridge_scale * rng.standard_normal()
-        dquad = delta * delta * rinv_total[rho_idx] - 2.0 * delta * float(fac.rinv_one[rho_idx] @ z)
-        if math.log(rng.random()) < -0.5 * dquad / (sigma * sigma):
+        delta = ridge_scale * d_ridge
+        dquad = delta * delta * rinv_total[rho_idx] - 2.0 * delta * float(fac.rinv_one[rho_idx].dot(z))
+        if math.log(u_ridge) < -0.5 * dquad / (sigma * sigma):
             beta += delta
             z = z - delta
-            s_pop = float(n @ np.exp(z))
+            s_pop = float(n.dot(np.exp(z)))
             ridge_acc += 1
 
         # rho | z with sigma integrated out, p(rho | z) ~ |R|^{-1/2}
@@ -290,28 +330,28 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
         # then sigma | rho, z exactly
         quad = fac.quad_form(rho_idx, z)
         if quad > 0.0:  # 0 only before z has first moved
-            for _ in range(_RHO_PROPOSALS):
-                step = int(rng.integers(-_RHO_STEP, _RHO_STEP))
+            for step, u in zip(steps[k], u_rho):
                 prop = rho_idx + step + (step >= 0)
                 if 0 <= prop < len(grid):
                     q = fac.quad_form(prop, z)
-                    log_ratio = (0.5 * (fac.logdet[rho_idx] - fac.logdet[prop])
+                    log_ratio = (0.5 * (logdet[rho_idx] - logdet[prop])
                                  - 0.5 * (m - 1) * math.log(q / quad))
-                    if math.log(rng.random()) < log_ratio:
+                    if math.log(u) < log_ratio:
                         rho_idx, quad = prop, q
-            sigma = _gibbs_sigma(quad, m, rng)
+            sigma = _gibbs_sigma(gamma_sigma[k], quad)
 
         # scaling move: inflate or deflate sigma and the whole field together;
         # the Gaussian prior term quad/sigma^2 is invariant, so the move walks
         # along the prior funnel and is gated by the Poisson likelihood
         # (log ratio = delta-likelihood + delta from the volume terms)
-        delta = scale_scale * rng.standard_normal()
+        delta = scale_scale * d_scale
         g = math.exp(delta)
         zs = z * g
-        s_new = float(n @ np.exp(zs))
-        dpois = float(y @ (zs - z)) - math.exp(beta) * (s_new - s_pop)
-        if math.isfinite(dpois) and math.log(rng.random()) < dpois + delta:
+        s_new = float(n.dot(np.exp(zs)))
+        dpois = float(y.dot(zs - z)) - math.exp(beta) * (s_new - s_pop)
+        if math.isfinite(dpois) and math.log(u_scale) < dpois + delta:
             z = zs
+            s_pop = s_new
             sigma *= g
             scale_acc += 1
 

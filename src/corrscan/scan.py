@@ -154,7 +154,9 @@ def _population_terms(populations, windows: WindowSet):
     ``mu = n_c / N`` is the window's population share.  ``gated`` marks the
     windows whose statistic is zero: the window of all m regions and any
     whose share rounds to 1 or above.  Their share is set to 1/2 so that both
-    logs stay finite.
+    logs stay finite.  A positive share below the smallest normal float
+    (one that underflows to 0 or loses bits) takes its log as
+    ``log(n_c) - log(N)``.
     """
     n = np.asarray(populations, dtype=float)
     n_g = n.sum()
@@ -163,7 +165,12 @@ def _population_terms(populations, windows: WindowSet):
     gated = (windows.length == windows.m) | (mu >= 1)
     mu[gated] = 0.5
     log_out = np.log1p(-mu)
-    return n_g, (n_c, np.log(mu) - log_out, log_out, gated)
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(mu)
+    tiny = (mu < np.finfo(float).tiny) & (n_c > 0)
+    if tiny.any():
+        log_mu[tiny] = np.log(n_c[tiny]) - np.log(n_g)
+    return n_g, (n_c, log_mu - log_out, log_out, gated)
 
 
 def _llr_kernel(y_c, y_g, n_g, terms, table, out, tmp, high, index):

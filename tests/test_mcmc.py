@@ -216,32 +216,33 @@ def test_rho_grid_factors_match_a_full_matrix_build(m):
 
 
 class _RecordingRng(np.random.Generator):
-    """A generator that logs its uniforms into a shared event list."""
+    """A generator that keeps the uniforms and rho steps of each draw block."""
 
-    def __init__(self, seed, events):
+    def __init__(self, seed):
         super().__init__(np.random.PCG64(seed))
-        self.events = events
+        self.uniforms, self.steps = [], []
 
-    def random(self, *args, **kwargs):
-        u = super().random(*args, **kwargs)
-        self.events.append(("u", u))
+    def random(self, size=None, *args, **kwargs):
+        u = super().random(size, *args, **kwargs)
+        if size is not None:  # the block's uniforms, not a shrink angle
+            self.uniforms.append(u)
         return u
+
+    def integers(self, *args, **kwargs):
+        steps = super().integers(*args, **kwargs)
+        self.steps.append(steps)
+        return steps
 
 
 def _rho_moves(events):
-    """Split the logged events into rho moves: each ``quad_form`` call on a new
-    field is the current state, a call on the same field is a proposal, and the
-    uniform right after a proposal is its accept test."""
+    """Split the logged ``quad_form`` calls into rho moves: a call on a new
+    field is the current state, a call on the same field is a proposal."""
     moves, z_prev = [], None
-    for k, ev in enumerate(events):
-        if ev[0] != "q":
-            continue
-        _, g, z = ev
+    for g, z in events:
         if z_prev is None or not np.array_equal(z, z_prev):
             moves.append((z, g, []))
         else:
-            assert events[k + 1][0] == "u"
-            moves[-1][2].append((g, events[k + 1][1]))
+            moves[-1][2].append(g)
         z_prev = z
     return moves
 
@@ -254,18 +255,27 @@ def test_rho_moves_accept_by_the_collapsed_conditional(monkeypatch):
     events = []
     quad_form = RhoGridFactors.quad_form
     monkeypatch.setattr(RhoGridFactors, "quad_form",
-                        lambda self, g, z: events.append(("q", g, z.copy())) or quad_form(self, g, z))
+                        lambda self, g, z: events.append((g, z.copy())) or quad_form(self, g, z))
     config = McmcConfig(n_iter=400, burn_in=100, thin=1)
-    fit = fit_model2(y, n, dm, prior, config=config, seed=_RecordingRng(3, events))
+    rng = _RecordingRng(3)
+    fit = fit_model2(y, n, dm, prior, config=config, seed=rng)
+    # iteration k reads row k of the blocks; uniform columns 3 and 4 are the
+    # accept tests of its two rho proposals
+    uniforms, steps = np.concatenate(rng.uniforms), np.concatenate(rng.steps)
     inv = _dense_inverses(dm, fac.grid)
     moves = _rho_moves(events)
     assert len(moves) == config.n_iter
     states, accepted, rejected = [], 0, 0
-    for z, g, proposals in moves:
+    for k, (z, g, proposals) in enumerate(moves):
         if states:
             assert g == states[-1]  # the state each move starts from is where the last one ended
         logp = -0.5 * fac.logdet - 0.5 * (m - 1) * np.log(inv @ z @ z)
-        for p, u in proposals:
+        replayed = []
+        for step, u in zip(steps[k], uniforms[k, 3:5]):
+            p = g + step + (step >= 0)
+            if not 0 <= p < len(fac.grid):
+                continue
+            replayed.append(p)
             assert 1 <= abs(p - g) <= 20
             log_ratio = logp[p] - logp[g]
             assert abs(math.log(u) - log_ratio) > 1e-9  # no decision within rounding
@@ -273,6 +283,7 @@ def test_rho_moves_accept_by_the_collapsed_conditional(monkeypatch):
                 g, accepted = p, accepted + 1
             else:
                 rejected += 1
+        assert replayed == proposals
         states.append(g)
     assert accepted > 50 and rejected > 50
     assert np.array_equal(fit.rho, fac.grid[states[config.burn_in:]])
@@ -300,7 +311,8 @@ def test_elliptical_slice_leaves_prior_invariant_under_flat_likelihood():
     z = np.zeros(5)
     draws = np.empty((40_000, 5))
     for k in range(len(draws)):
-        z, ll, shrinks = elliptical_slice(z, L @ rng.standard_normal(5), lambda v: 0.0, 0.0, rng)
+        z, ll, shrinks = elliptical_slice(z, L @ rng.standard_normal(5), lambda v: 0.0, 0.0,
+                                          rng.random(), rng.random(), rng)
         assert shrinks == 0 and ll == 0.0
         draws[k] = z
     assert np.max(np.abs(draws.mean(axis=0))) < 0.05
@@ -320,16 +332,19 @@ def test_elliptical_slice_keeps_state_when_nothing_clears_the_slice():
         calls.append(v)
         return np.nan if len(calls) % 2 else -np.inf
 
-    out, ll, shrinks = elliptical_slice(z, np.ones(3), loglik, -1.0, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    out, ll, shrinks = elliptical_slice(z, np.ones(3), loglik, -1.0, *rng.random(2), rng)
     assert out is z and ll == -1.0 and shrinks == _MAX_SHRINKS and len(calls) == _MAX_SHRINKS
 
 
 def test_exact_intercept_and_scale_draws_match_their_conditionals():
-    from corrscan.mcmc import _gibbs_intercept, _gibbs_sigma
+    from corrscan.mcmc import _draw_block, _gibbs_intercept, _gibbs_sigma
 
-    rng = np.random.default_rng(7)
-    sum_y, s_pop = 23.0, 4_100.0
-    beta = np.array([_gibbs_intercept(sum_y, s_pop, rng) for _ in range(40_000)])
+    # the standard gammas come from the fit's own block draw
+    m, sum_y = 12, 23.0
+    *_, gamma_beta, gamma_sigma = _draw_block(np.random.default_rng(7), 40_000, m, sum_y)
+    s_pop = 4_100.0
+    beta = np.array([_gibbs_intercept(gd, s_pop) for gd in gamma_beta])
     assert np.mean(np.exp(beta)) == pytest.approx(sum_y / s_pop, rel=0.01)
     # oracle: the mean of beta under exp(sum_y*beta - e^beta*s_pop), flat prior
     grid = np.linspace(-9.0, -4.0, 20_001)
@@ -337,14 +352,71 @@ def test_exact_intercept_and_scale_draws_match_their_conditionals():
     w = np.exp(logp - logp.max())
     assert beta.mean() == pytest.approx(np.sum(grid * w) / np.sum(w), abs=0.005)
 
-    m, quad = 12, 0.8
-    sigma = np.array([_gibbs_sigma(quad, m, rng) for _ in range(40_000)])
+    quad = 0.8
+    sigma = np.array([_gibbs_sigma(gd, quad) for gd in gamma_sigma])
     assert np.mean(sigma**-2) == pytest.approx((m - 1) / quad, rel=0.02)
     # oracle: the mean of sigma under sigma^-m exp(-quad / (2 sigma^2)), flat prior
     grid = np.linspace(0.05, 3.0, 20_001)
     logp = -m * np.log(grid) - 0.5 * quad / grid**2
     w = np.exp(logp - logp.max())
     assert sigma.mean() == pytest.approx(np.sum(grid * w) / np.sum(w), rel=0.01)
+
+
+class _CountingRng(np.random.Generator):
+    """A generator that logs the name and result dimension of every draw."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = []
+
+    def __getattribute__(self, name):
+        attr = super().__getattribute__(name)
+        if name.startswith("_") or not callable(attr):
+            return attr
+        calls = super().__getattribute__("calls")
+
+        def logged(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            calls.append((name, np.ndim(out)))
+            return out
+        return logged
+
+
+def test_a_fit_draws_its_fixed_variates_in_blocks(monkeypatch):
+    from corrscan import mcmc
+
+    shrinks = []
+    slice_step = mcmc.elliptical_slice
+
+    def counted(*args):
+        out = slice_step(*args)
+        shrinks.append(out[2])
+        return out
+
+    monkeypatch.setattr(mcmc, "elliptical_slice", counted)
+    y, n, dm = _toy_data(seed=9, m=8)
+    rng = _CountingRng(5)
+    fit_model2(y, n, dm, PriorSpec(40), config=McmcConfig(n_iter=1000, burn_in=200, thin=1),
+               seed=rng)
+    sized = [call for call in rng.calls if call[1] > 0]
+    scalar = [call for call in rng.calls if call[1] == 0]
+    # six sized calls per block of iterations; the only scalar draws are the
+    # shrink angles of the slice steps
+    assert len(sized) == 6 * -(-1000 // mcmc._DRAW_BLOCK)
+    assert sum(shrinks) > 0 and scalar == [("random", 0)] * sum(shrinks)
+
+
+def test_fits_of_different_lengths_agree_across_draw_blocks():
+    # neither length is a multiple of the draw block, so a refill or index
+    # fault at a block edge makes the two chains part
+    y, n, dm = _toy_data(seed=9, m=8)
+    short, long = (fit_model2(y, n, dm, PriorSpec(40),
+                              config=McmcConfig(n_iter=n_iter, burn_in=100, thin=3), seed=8)
+                   for n_iter in (700, 1000))
+    common = short.n_draws
+    assert common == (700 - 100) // 3 and long.n_draws > common
+    for name in ("beta", "sigma", "rho"):
+        assert np.array_equal(getattr(short, name), getattr(long, name)[:common])
 
 
 def test_fit_input_errors_are_typed():

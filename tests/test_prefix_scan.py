@@ -251,6 +251,22 @@ def test_share_that_underflows_scores_zero_not_nan():
     assert star[1] == 0.0
 
 
+def test_share_that_underflows_keeps_the_score_of_its_cases_finite():
+    # one case in a window whose share 1e-20 / 2e305 underflows to 0: the log
+    # share is taken as log n_c - log N, so both entry points give the
+    # brute-force oracle's finite value instead of +inf
+    sr = StudyRegion(ids=("A", "B", "C", "D"), centroids=[[0, 0], [1, 0], [5, 0], [6, 0]],
+                     periods=("all",), populations=[[1e-20, 1e-20, 1e305, 1e305]],
+                     cases=[[1, 0, 3, 4]])
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    star = llr_star_batch([[1, 0, 3, 4]], sr.populations[0], ws)
+    res = scan(sr, ws)
+    want, members = brute_force_scan(sr)
+    assert np.isfinite(star[0]) and want == pytest.approx(746.02, abs=0.01)
+    assert star[0] == res.llr_star == pytest.approx(want, rel=1e-14)
+    assert res.primary.members == members
+
+
 def test_stream_memory_stays_far_below_windows_by_rows():
     # the stream holds O(m x rows) values, far less than one (windows x rows)
     # float array, which alone would exceed 5 MiB here
