@@ -1,24 +1,25 @@
 """Correlation-adjusted scan: rebuild the Monte Carlo null from a fitted
 spatial mixed model, re-assess the detected clusters, and iterate until the
-set of significant clusters stabilizes."""
+set of significant clusters stabilizes.
+
+The adjusted reference is :func:`corrscan.scan.null_counts` given the fitted
+field's factor; :func:`simulate_model2_counts` draws study data only."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .matern import MaternParams, CovFactor, cholesky, matern_cov, simulate_grf
 from .mcmc import McmcConfig, PriorSpec, TooFewRegionsError, fit_model2, posterior_means
-from .region import StudyRegion, WindowSet, _check_real, _check_whole
-from .scan import llr_star_batch, mc_pvalue, model1_simulator, rank_pvalue, scan
+from .region import InputError, StudyRegion, WindowSet, _check_real, _check_whole
+from .scan import llr_star_batch, mc_pvalue, null_counts, rank_pvalue, scan
 
 __all__ = [
     "AdjustedScanConfig",
     "AdjustedScanResult",
     "simulate_model2_counts",
-    "recentered_intercept",
     "adjusted_scan",
     "train_test_adjusted_scan",
 ]
@@ -44,17 +45,6 @@ def simulate_model2_counts(populations, beta, factor: CovFactor, seed=None, size
         raise OverflowError(f"rate overflow in region {name} (beta={beta:.3g})")
     counts = rng.poisson(rates)
     return counts[0] if size == 1 else counts
-
-
-def recentered_intercept(y_g_obs, populations, cov_diag):
-    """Intercept making the expected simulated total equal the observed total.
-
-    E[sum Y_i] = e^beta * sum N_i e^{diag(Sigma)_i / 2}, so
-    beta = log(Y_G / sum N_i e^{diag_i/2}).
-    """
-    n = np.asarray(populations, dtype=float)
-    d = np.broadcast_to(np.asarray(cov_diag, dtype=float), n.shape)
-    return math.log(y_g_obs / float(np.sum(n * np.exp(d / 2.0))))
 
 
 @dataclass(frozen=True)
@@ -133,29 +123,9 @@ def _fit_summary(fit):
             "ess": fit.ess, "warnings": list(fit.warnings)}
 
 
-def _fitted_reference(dm, sigma, rho):
-    """Reference sampler under the mixed model fitted at (sigma, rho).
-
-    The field's covariance factor is built once (sigma floored at 1e-8).
-    ``sample(populations, y_g, windows, rng, M, region_ids)`` re-centres the
-    intercept so the expected total is ``y_g``, draws M datasets and returns
-    their max statistics with the simulation parameters."""
-    params = MaternParams(sigma=max(sigma, 1e-8), rho=rho)
-    cov = matern_cov(dm, params)
-    factor = cholesky(cov)
-    diag = np.diag(cov)
-
-    def sample(populations, y_g, windows, rng, M, region_ids):
-        beta_sim = recentered_intercept(y_g, populations, diag)
-        counts = simulate_model2_counts(populations, beta_sim, factor, rng, size=M,
-                                        region_ids=region_ids)
-        return llr_star_batch(counts, populations, windows), {
-            "beta_sim": beta_sim,
-            "sigma": params.sigma,
-            "rho": params.rho,
-        }
-
-    return sample
+def _field_factor(dm, sigma, rho):
+    """Covariance factor of the Matérn field at (sigma, rho), sigma floored at 1e-8."""
+    return cholesky(matern_cov(dm, MaternParams(sigma=max(sigma, 1e-8), rho=rho)))
 
 
 def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanConfig,
@@ -168,7 +138,7 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
 
     # one classical reference sample gives the classical p-value and the
     # initial screen: the clusters whose llr reaches its screening quantile
-    ref0 = llr_star_batch(model1_simulator(sr, period)(rng, config.M), n, windows)
+    ref0 = llr_star_batch(null_counts(rng, y.sum(), n, config.M), n, windows)
     classical_p = rank_pvalue(observed.llr_star, ref0)
     classical = observed.with_pvalue(classical_p, config.M)
 
@@ -183,14 +153,13 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
         excluded, fit = _screened_fit(significant, y, n, dm, config.prior, config.mcmc,
                                       rng.integers(2**63))
         summary = _fit_summary(fit)
-        reference, sim_info = _fitted_reference(dm, summary["sigma"], summary["rho_grid"])(
-            n, y.sum(), windows, rng, config.M, sr.ids)
+        factor = _field_factor(dm, summary["sigma"], summary["rho_grid"])
+        reference = llr_star_batch(null_counts(rng, y.sum(), n, config.M, factor), n, windows)
         adjusted = tuple((c, llr, rank_pvalue(llr, reference)) for c, llr in clusters)
         new_significant = _screen(clusters, reference, config.alpha_screen)
         iterations.append({
             "excluded_regions": excluded,
             "fit": summary,
-            "simulation": sim_info,
             "reference_quantiles": {
                 "q50": float(np.quantile(reference, 0.5)),
                 "q90": float(np.quantile(reference, 0.9)),
@@ -219,37 +188,34 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
 
 def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_period,
                              test_periods, config: AdjustedScanConfig):
-    """Fit once on the training period; per test period, re-center the intercept
-    to that period's total and build its adjusted reference distribution."""
+    """Fit once on the training period; per test period, redistribute that
+    period's total under the fitted field for its adjusted reference."""
     if train_period in test_periods:
         raise ValueError("train period must be disjoint from test periods")
     if sr.total_cases(train_period) == 0:
-        raise ValueError("zero cases in training period")
+        raise InputError("zero cases in training period")
     rng = np.random.default_rng(config.seed)
     y_train = sr.period_cases(train_period)
     n_train = sr.period_populations(train_period)
     fit = fit_model2(y_train, n_train, dm, config.prior, config=config.mcmc,
                      seed=rng.integers(2**63))
     summary = _fit_summary(fit)
-    sample = _fitted_reference(np.asarray(dm), summary["sigma"], summary["rho_grid"])
+    factor = _field_factor(dm, summary["sigma"], summary["rho_grid"])
 
     results = []
     for period in test_periods:
         observed = scan(sr, windows, period)
         n = sr.period_populations(period)
-        y_g = sr.total_cases(period)
         classical_p = mc_pvalue(observed.llr_star, sr, windows, M=config.M,
                                 seed=rng, period=period)
-        if y_g > 0:
-            reference, _ = sample(n, y_g, windows, rng, config.M, sr.ids)
-            adjusted_p = rank_pvalue(observed.llr_star, reference)
-        else:
-            adjusted_p = 1.0
+        # a period without cases draws all-zero rows, and so gets p = 1
+        reference = llr_star_batch(
+            null_counts(rng, sr.total_cases(period), n, config.M, factor), n, windows)
         results.append({
             "period": period,
             "llr_star": observed.llr_star,
             "classical_p": classical_p,
-            "adjusted_p": adjusted_p,
+            "adjusted_p": rank_pvalue(observed.llr_star, reference),
             "primary_members": list(observed.primary.members) if observed.primary else [],
         })
     return {

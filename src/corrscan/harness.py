@@ -16,18 +16,18 @@ import numpy as np
 from .adjusted import (
     AdjustedScanConfig,
     _clusters_of,
-    _fitted_reference,
+    _field_factor,
     _screen,
     _screened_fit,
     simulate_model2_counts,
     train_test_adjusted_scan,
 )
 from .fdr import fit_fdr_model, nudge_boundary_p, p_to_z
-from .matern import MaternParams, NotPositiveDefiniteError, cholesky, matern_cov
+from .matern import NotPositiveDefiniteError
 from .mcmc import ChainDivergenceError, McmcConfig, PriorSpec, TooFewRegionsError, ZeroCountsError
 from .region import (InputError, StudyRegion, _check_real, _check_whole, _real_tuple,
                      distance_matrix, enumerate_windows)
-from .scan import llr_star_batch, model1_simulator, rank_pvalue, scan
+from .scan import llr_star_batch, null_counts, rank_pvalue, scan
 
 __all__ = [
     "ExperimentConfig",
@@ -186,9 +186,7 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
 
     for sigma in cfg.sigma_grid:
         for rho in cfg.rho_grid:
-            factor = None
-            if sigma > 0 and rho > 0:
-                factor = cholesky(matern_cov(dm, MaternParams(sigma=sigma, rho=rho)))
+            factor = _field_factor(dm, sigma, rho) if sigma > 0 and rho > 0 else None
             pvals = []
             dropped_by = Counter()
             streams = master.spawn(cfg.replicates)
@@ -225,36 +223,34 @@ def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, rng, rn
     ``rng`` drives the reference draws (shared across modes); ``rng_fit``
     drives mode-specific estimation steps so it does not desynchronize the
     reference stream."""
-    null = model1_simulator(sr, sr.periods[0], total=counts.sum())
-    if cfg.mode == "classical" or (cfg.mode == "adjusted_true_params" and factor is None):
-        return llr_star_batch(null(rng, cfg.mc_size), n, windows)
-    if cfg.mode == "adjusted_true_params":
-        sims = simulate_model2_counts(n, cfg.beta, factor, rng, size=cfg.mc_size,
-                                      region_ids=sr.ids)
-        return llr_star_batch(sims, n, windows)
-    # adjusted_fitted: screen out classically significant clusters first
-    # (otherwise apparent clusters inflate the fitted field variance and the
-    # adjustment overshoots), fit the mixed model to the rest, then plug in a
-    # single posterior draw of (sigma, rho).  A draw, not the posterior mean:
-    # the study measures how the adjustment behaves when parameters carry
-    # estimation uncertainty, and a fixed-but-uncertain parameter per
-    # replicate is what an analyst's point estimate looks like from the
-    # outside.  Averaging the posterior first would hide that uncertainty and
-    # make this mode indistinguishable from adjusted_true_params.
-    screen = llr_star_batch(null(rng_fit, cfg.mc_size), n, windows)
-    clusters = _clusters_of(scan(sr, windows, counts=counts))
-    _, fit = _screened_fit(_screen(clusters, screen), counts, n, dm, prior, cfg.mcmc,
-                           rng_fit.integers(2**63))
-    j = int(rng_fit.integers(len(fit.sigma)))
-    sample = _fitted_reference(dm, float(fit.sigma[j]), float(fit.rho[j]))
-    return sample(n, counts.sum(), windows, rng, cfg.mc_size, sr.ids)[0]
+    total = counts.sum()
+    if cfg.mode == "classical":
+        factor = None
+    elif cfg.mode == "adjusted_fitted":
+        # screen out classically significant clusters first (otherwise
+        # apparent clusters inflate the fitted field variance and the
+        # adjustment overshoots), fit the mixed model to the rest, then plug
+        # in a single posterior draw of (sigma, rho).  A draw, not the
+        # posterior mean: the study measures how the adjustment behaves when
+        # parameters carry estimation uncertainty, and a fixed-but-uncertain
+        # parameter per replicate is what an analyst's point estimate looks
+        # like from the outside.  Averaging the posterior first would hide
+        # that uncertainty and make this mode indistinguishable from
+        # adjusted_true_params.
+        screen = llr_star_batch(null_counts(rng_fit, total, n, cfg.mc_size), n, windows)
+        clusters = _clusters_of(scan(sr, windows, counts=counts))
+        _, fit = _screened_fit(_screen(clusters, screen), counts, n, dm, prior, cfg.mcmc,
+                               rng_fit.integers(2**63))
+        j = int(rng_fit.integers(len(fit.sigma)))
+        factor = _field_factor(dm, float(fit.sigma[j]), float(fit.rho[j]))
+    return llr_star_batch(null_counts(rng, total, n, cfg.mc_size, factor), n, windows)
 
 
 def surveillance_run(sr: StudyRegion, train_period, config: AdjustedScanConfig):
     """Per-period adjusted scanning over all non-training periods, then the
     local-FDR layer over the resulting adjusted p-values."""
     if sr.n_periods < 2:
-        raise ValueError("surveillance needs at least 2 periods")
+        raise InputError("surveillance needs at least 2 periods")
     dm = distance_matrix(sr)
     windows = enumerate_windows(sr, dm, config.max_window_fraction)
     test_periods = [p for p in sr.periods if p != train_period]

@@ -2,7 +2,8 @@
 
 The statistic is the log of the normalized likelihood ratio comparing the
 rate inside a window against the rate outside, gated to zero unless the
-inside rate is the higher one.  All work is in log space.
+inside rate is the higher one.  All work is in log space.  Every Monte
+Carlo reference, classical or mixed-model, is drawn by :func:`null_counts`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .matern import simulate_grf
 from .region import CandidateCluster, InputError, StudyRegion, WindowSet, _check_whole
 
 __all__ = [
@@ -18,7 +20,7 @@ __all__ = [
     "log_lr",
     "log_lr_vector",
     "scan",
-    "model1_simulator",
+    "null_counts",
     "llr_star_batch",
     "rank_pvalue",
     "mc_pvalue",
@@ -277,18 +279,18 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
     )
 
 
-def model1_simulator(sr: StudyRegion, period=None, total=None):
-    """Batch simulator closure for :func:`mc_pvalue`: the conditional Model I
-    null, a multinomial redistribution of ``total`` cases (default: the
-    period's observed total) in proportion to the populations."""
-    n = sr.period_populations(period)
-    p = n / n.sum()
-    y_g = sr.total_cases(period) if total is None else int(total)
-
-    def simulate(rng, size):
-        return rng.multinomial(y_g, p, size=size)
-
-    return simulate
+def null_counts(rng, total, populations, size, factor=None):
+    """(size, m) rows of ``total`` cases: Multinomial(total, n / N) with
+    ``factor`` None (the classical null), else Multinomial(total,
+    softmax(log n + z)) with z = L eps drawn per row, the mixed model given
+    the total and z.  z comes from its prior, not from z | Y."""
+    n = np.asarray(populations, dtype=float)
+    if factor is None:
+        return rng.multinomial(total, n / n.sum(), size)
+    logits = np.log(n) + np.atleast_2d(simulate_grf(factor, rng, size))
+    # the row maximum comes off before exp, so that no field overflows it
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return rng.multinomial(total, p / p.sum(axis=1, keepdims=True))
 
 
 def llr_star_batch(counts, populations, windows: WindowSet):
@@ -356,9 +358,10 @@ def rank_pvalue(observed, reference):
 
 def mc_pvalue(observed_llr, sr: StudyRegion, windows: WindowSet, M=999,
               seed=None, period=None):
-    """Rank-based Monte Carlo p-value r/(M+1) against the conditional Model I
-    null of :func:`model1_simulator` for ``period``."""
+    """Rank-based Monte Carlo p-value r/(M+1) against the classical null of
+    :func:`null_counts` for ``period``."""
     _check_whole("M", M, 1)
-    sims = llr_star_batch(model1_simulator(sr, period)(np.random.default_rng(seed), M),
-                          sr.period_populations(period), windows)
+    n = sr.period_populations(period)
+    sims = llr_star_batch(null_counts(np.random.default_rng(seed), sr.total_cases(period),
+                                      n, M), n, windows)
     return rank_pvalue(observed_llr, sims)

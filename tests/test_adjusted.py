@@ -1,4 +1,4 @@
-"""Adjusted scan: mixed-model count simulation, intercept re-centering,
+"""Adjusted scan: mixed-model count simulation, the fitted-field reference,
 iterative cluster re-assessment, train/test surveillance scans."""
 
 import importlib
@@ -20,9 +20,9 @@ from corrscan import (
     simulate_model2_counts,
     train_test_adjusted_scan,
 )
-from corrscan.adjusted import recentered_intercept
 from corrscan.harness import synth_geometry
 from corrscan.mcmc import McmcConfig
+from corrscan.scan import llr_star_batch, null_counts
 
 FAST = McmcConfig(n_iter=1200, burn_in=400, thin=2)
 
@@ -78,24 +78,21 @@ def test_overflow_names_region():
                                region_ids=sr.ids)
 
 
-# ------------------------------------------------------------ re-centering
+# ------------------------------------------------------ fitted-field reference
 
-def test_recentered_intercept_zero_field():
-    n = np.array([100.0, 300.0])
-    beta = recentered_intercept(40, n, np.zeros(2))
-    assert beta == pytest.approx(math.log(40 / 400.0), abs=1e-12)
-
-
-def test_recentered_intercept_matches_simulation():
-    sr = synth_geometry(8, seed=8)
+@pytest.mark.parametrize("sigma", [5.0, 20.0, 40.0])
+def test_large_field_reference_keeps_the_total(sigma):
+    # a large fitted sigma once drove the re-centred intercept to -207
+    # (all-zero rows) at sigma = 20 and overflowed it at sigma = 40
+    sr = _null_region(m=12, seed=21)
     dm = distance_matrix(sr)
     n = sr.populations[0]
-    cov = matern_cov(dm, MaternParams(0.3, 15.0))
-    fac = cholesky(cov)
-    y_g = 2000
-    beta = recentered_intercept(y_g, n, np.diag(cov))
-    sims = simulate_model2_counts(n, beta, fac, seed=11, size=20_000)
-    assert abs(sims.sum(axis=1).mean() - y_g) < 0.03 * y_g
+    y_g = sr.total_cases()
+    sims = null_counts(np.random.default_rng(7), y_g, n, 50, _factor(dm, sigma, 10.0))
+    assert sims.shape == (50, 12)
+    assert np.all(sims.sum(axis=1) == y_g)
+    llr = llr_star_batch(sims, n, enumerate_windows(sr, dm, 0.5))
+    assert np.all(np.isfinite(llr)) and np.all(llr > 0)
 
 
 # ----------------------------------------------------------- configuration
@@ -158,20 +155,16 @@ def test_adjusted_scan_planted_hotspot_detected():
 def test_adjusted_scan_draws_one_classical_reference(monkeypatch):
     # the classical p-value and the first screen share one multinomial sample
     modules = [importlib.import_module(f"corrscan.{name}") for name in ("adjusted", "scan")]
-    original = modules[1].model1_simulator
+    original = modules[1].null_counts
     draws = []
 
-    def counting(*args, **kwargs):
-        simulate = original(*args, **kwargs)
-
-        def counted(rng, size):
+    def counting(rng, total, populations, size, factor=None):
+        if factor is None:
             draws.append(size)
-            return simulate(rng, size)
-
-        return counted
+        return original(rng, total, populations, size, factor)
 
     for module in modules:
-        monkeypatch.setattr(module, "model1_simulator", counting)
+        monkeypatch.setattr(module, "null_counts", counting)
     sr = _null_region(m=12, seed=21)
     dm = distance_matrix(sr)
     ws = enumerate_windows(sr, dm, 0.5)
@@ -217,6 +210,19 @@ def test_train_test_pvalue_grid():
     assert p in [k / 100 for k in range(1, 101)]
     assert 1 / 100 <= row["classical_p"] <= 1.0
     assert set(report["fit"]) >= {"beta", "sigma", "rho", "rho_grid"}
+
+
+def test_train_test_period_without_cases_scores_one():
+    sr = _two_period_region()
+    sr = StudyRegion(ids=sr.ids, centroids=sr.centroids, periods=sr.periods,
+                     populations=sr.populations,
+                     cases=np.vstack([sr.cases[0], np.zeros(10, dtype=int)]))
+    dm = distance_matrix(sr)
+    ws = enumerate_windows(sr, dm, 0.5)
+    cfg = AdjustedScanConfig(prior=PriorSpec(15), M=99, mcmc=FAST, seed=54)
+    row = train_test_adjusted_scan(sr, ws, dm, "t0", ["t1"], cfg)["periods"][0]
+    assert row["llr_star"] == 0.0
+    assert row["classical_p"] == row["adjusted_p"] == 1.0
 
 
 def test_train_test_rejects_overlap():

@@ -184,6 +184,24 @@ def test_surveil_strict_exits_4_on_fit_warnings(tmp_path):
     assert json.loads(report.read_text())["fit"]["warnings"] == warnings
 
 
+@pytest.mark.parametrize("periods, message", [
+    (1, "surveillance needs at least 2 periods"),
+    (3, "zero cases in training period"),
+])
+def test_surveil_bad_periods_are_input_errors(tmp_path, capsys, periods, message):
+    geo = str(tmp_path / "geo.txt")
+    assert main(["--seed", "0", "synth-geo", "--m", "8", "--periods", str(periods),
+                 "--cases", "300", "--out", geo]) == EXIT_OK
+    cas = Path(geo + ".cas")
+    # empty period 0, the training period of the multi-period case
+    cas.write_text("".join(re.sub(r"^(\S+ 0) \d+$", r"\1 0", line) + "\n"
+                           for line in cas.read_text().splitlines()))
+    train = "all" if periods == 1 else "0"
+    assert main(["surveil", "--geo", geo, "--pop", geo + ".pop", "--cas", str(cas),
+                 "--train-period", train, "--mc-size", "99"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_type1_study_command(tmp_path, capsys):
     out = str(tmp_path / "study.json")
     code = main(["--seed", "5", "type1-study", "--m", "8", "--beta", "-5.0",

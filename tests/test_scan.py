@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from corrscan import distance_matrix, enumerate_windows, log_lr, scan
+from corrscan import CovFactor, distance_matrix, enumerate_windows, log_lr, scan
 from corrscan.scan import (
     llr_star_batch,
     log_lr_vector,
     mc_pvalue,
-    model1_simulator,
+    null_counts,
 )
 
 from conftest import brute_force_llr, brute_force_scan, random_region
@@ -142,23 +142,24 @@ def test_model1_single_region():
     from corrscan import StudyRegion
     sr = StudyRegion(ids=("A",), centroids=[[0, 0]], periods=("all",),
                      populations=[[5.0]], cases=[[7]])
-    assert model1_simulator(sr)(np.random.default_rng(0), 1).tolist() == [[7]]
+    draw = null_counts(np.random.default_rng(0), sr.total_cases(), sr.populations[0], 1)
+    assert draw.tolist() == [[7]]
 
 
 def test_model1_binomial_concentration():
     from corrscan import StudyRegion
     sr = StudyRegion(ids=("A", "B"), centroids=[[0, 0], [1, 0]], periods=("all",),
                      populations=[[50.0, 50.0]], cases=[[500_000, 500_000]])
-    draw = model1_simulator(sr)(np.random.default_rng(42), 1)[0]
+    draw = null_counts(np.random.default_rng(42), sr.total_cases(), sr.populations[0], 1)[0]
     n = 1_000_000
     sd = math.sqrt(n * 0.25)
     assert abs(draw[0] - n / 2) < 5 * sd
 
 
 def test_model1_multinomial_moments(small_region):
-    sims = model1_simulator(small_region)(np.random.default_rng(3), 100_000)
     n = small_region.populations[0]
     y_g = small_region.total_cases()
+    sims = null_counts(np.random.default_rng(3), y_g, n, 100_000)
     expect = y_g * n / n.sum()
     # per-cell SE of the mean over 1e5 draws
     var = y_g * (n / n.sum()) * (1 - n / n.sum())
@@ -167,15 +168,41 @@ def test_model1_multinomial_moments(small_region):
 
 
 def test_model1_conditions_on_total(small_region):
-    sims = model1_simulator(small_region)(np.random.default_rng(9), 1000)
+    sims = null_counts(np.random.default_rng(9), small_region.total_cases(),
+                       small_region.populations[0], 1000)
     assert np.all(sims.sum(axis=1) == small_region.total_cases())
+
+
+def test_null_counts_without_factor_is_the_multinomial(small_region):
+    n = small_region.populations[0]
+    y_g = small_region.total_cases()
+    want = np.random.default_rng(12).multinomial(y_g, n / n.sum(), 40)
+    assert np.array_equal(null_counts(np.random.default_rng(12), y_g, n, 40), want)
+
+
+def test_null_counts_constant_field_keeps_the_classical_null(small_region):
+    # a field equal in every region shifts every logit alike: the shares stay
+    # n / N however large sigma is
+    n = small_region.populations[0]
+    y_g = small_region.total_cases()
+    m, rows = len(n), 20_000
+    L = np.zeros((m, m))
+    L[:, 0] = 50.0
+    sims = null_counts(np.random.default_rng(13), y_g, n, rows, CovFactor(L=L, jitter=0.0))
+    p = n / n.sum()
+    mean, var = y_g * p, y_g * p * (1 - p)
+    assert np.all(sims.sum(axis=1) == y_g)
+    assert np.all(np.abs(sims.mean(axis=0) - mean) < 4 * np.sqrt(var / rows))
+    dev2 = (sims - sims.mean(axis=0)) ** 2
+    assert np.all(np.abs(sims.var(axis=0) - var) < 4 * dev2.std(axis=0) / np.sqrt(rows))
 
 
 # ------------------------------------------------------------ llr_star_batch
 
 def test_llr_star_batch_matches_scan(small_region):
     ws = enumerate_windows(small_region, distance_matrix(small_region), 0.5)
-    sims = model1_simulator(small_region)(np.random.default_rng(1), 50)
+    sims = null_counts(np.random.default_rng(1), small_region.total_cases(),
+                       small_region.populations[0], 50)
     batch = llr_star_batch(sims, small_region.populations[0], ws)
     for row, val in zip(sims, batch):
         assert scan(small_region, ws, counts=row).llr_star == pytest.approx(val, abs=1e-10)
@@ -209,10 +236,9 @@ def test_pvalue_rank_uniformity(small_region):
     n = sr.populations[0]
     M = 99
     rng = np.random.default_rng(2024)
-    sim = model1_simulator(sr)
     pvals = []
     for _ in range(2000):
-        obs = llr_star_batch(sim(rng, 1), n, ws)[0]
+        obs = llr_star_batch(null_counts(rng, sr.total_cases(), n, 1), n, ws)[0]
         pvals.append(mc_pvalue(obs, sr, ws, M=M, seed=rng))
     # chi-square over 10 equal bins of the discrete uniform {1..100}/100
     counts, _ = np.histogram(pvals, bins=np.linspace(0, 1, 11))
