@@ -14,7 +14,7 @@ import numpy as np
 from .matern import MaternParams, CovFactor, cholesky, matern_cov, simulate_grf
 from .mcmc import McmcConfig, PriorSpec, TooFewRegionsError, fit_model2, posterior_means
 from .region import InputError, StudyRegion, WindowSet, _check_real, _check_whole
-from .scan import llr_star_batch, mc_pvalue, null_counts, rank_pvalue, scan
+from .scan import llr_star_batch, mc_pvalue, null_counts, rank_pvalue, reference_pvalue, scan
 
 __all__ = [
     "AdjustedScanConfig",
@@ -201,21 +201,22 @@ def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_peri
                      seed=rng.integers(2**63))
     summary = _fit_summary(fit)
     factor = _field_factor(dm, summary["sigma"], summary["rho_grid"])
+    # one stream per reference, so that neither p-value depends on the other's draws
+    rng_classical, rng_adjusted = rng.spawn(2)
 
     results = []
     for period in test_periods:
         observed = scan(sr, windows, period)
         n = sr.period_populations(period)
         classical_p = mc_pvalue(observed.llr_star, sr, windows, M=config.M,
-                                seed=rng, period=period)
-        # a period without cases draws all-zero rows, and so gets p = 1
-        reference = llr_star_batch(
-            null_counts(rng, sr.total_cases(period), n, config.M, factor), n, windows)
+                                seed=rng_classical, period=period)
+        # a period without cases scores 0, and so gets p = 1
+        reference = null_counts(rng_adjusted, sr.total_cases(period), n, config.M, factor)
         results.append({
             "period": period,
             "llr_star": observed.llr_star,
             "classical_p": classical_p,
-            "adjusted_p": rank_pvalue(observed.llr_star, reference),
+            "adjusted_p": reference_pvalue(observed.llr_star, reference, n, windows),
             "primary_members": list(observed.primary.members) if observed.primary else [],
         })
     return {

@@ -172,7 +172,9 @@ def _study(args, cfg, mode, study):
         sr = synth_geometry(args.m, seed=args.seed or 0)
     table = study(sr, ecfg)
     manifest = {"config": json.loads(json.dumps(ecfg.__dict__, default=str)),
-                "rows": table.rows}
+                "rows": table.rows,
+                "pvalues": [{"sigma": s, "rho": r, "mode": mode, "pvalues": p}
+                            for (s, r, mode), p in table.pvalues.items()]}
     if args.out_dir:
         write_run(args.out_dir, f"study_{ecfg.content_hash()}", manifest,
                   {"proportions": table.to_csv()})

@@ -27,7 +27,7 @@ from .matern import NotPositiveDefiniteError
 from .mcmc import ChainDivergenceError, McmcConfig, PriorSpec, TooFewRegionsError, ZeroCountsError
 from .region import (InputError, StudyRegion, _check_real, _check_whole, _real_tuple,
                      distance_matrix, enumerate_windows)
-from .scan import llr_star_batch, null_counts, rank_pvalue, scan
+from .scan import llr_star_batch, null_counts, reference_pvalue, scan
 
 __all__ = [
     "ExperimentConfig",
@@ -212,13 +212,13 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
                 except DROP_CAUSES as exc:
                     dropped_by[type(exc).__name__] += 1
                     continue
-                pvals.append(rank_pvalue(obs, ref))
+                pvals.append(reference_pvalue(obs, ref, n, windows))
             table.add_setting(sigma, rho, cfg.mode, pvals, ALPHAS, dropped_by)
     return table
 
 
 def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, rng, rng_fit):
-    """One replicate's reference sample of the max statistic.
+    """One replicate's reference counts, (mc_size, m) rows of its total.
 
     ``rng`` drives the reference draws (shared across modes); ``rng_fit``
     drives mode-specific estimation steps so it does not desynchronize the
@@ -243,7 +243,7 @@ def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, rng, rn
                                rng_fit.integers(2**63))
         j = int(rng_fit.integers(len(fit.sigma)))
         factor = _field_factor(dm, float(fit.sigma[j]), float(fit.rho[j]))
-    return llr_star_batch(null_counts(rng, total, n, cfg.mc_size, factor), n, windows)
+    return null_counts(rng, total, n, cfg.mc_size, factor)
 
 
 def surveillance_run(sr: StudyRegion, train_period, config: AdjustedScanConfig):

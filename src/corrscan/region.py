@@ -119,11 +119,9 @@ class StudyRegion:
             raise InputError("negative case count")
         for arr in (centroids, pops, cases):
             arr.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "centroids", centroids)
-        object.__setattr__(self, "populations", pops)
-        object.__setattr__(self, "cases", cases)
+        for name, value in (("ids", ids), ("periods", periods), ("centroids", centroids),
+                            ("populations", pops), ("cases", cases)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self):

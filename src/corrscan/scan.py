@@ -3,7 +3,9 @@
 The statistic is the log of the normalized likelihood ratio comparing the
 rate inside a window against the rate outside, gated to zero unless the
 inside rate is the higher one.  All work is in log space.  Every Monte
-Carlo reference, classical or mixed-model, is drawn by :func:`null_counts`.
+Carlo reference, classical or mixed-model, is drawn by :func:`null_counts`,
+and its rank p-value comes from per-window critical counts
+(:func:`reference_pvalue`), exactly as from the rows' maxima.
 """
 
 from __future__ import annotations
@@ -17,56 +19,13 @@ from .region import CandidateCluster, InputError, StudyRegion, WindowSet, _check
 
 __all__ = [
     "ScanResult",
-    "log_lr",
-    "log_lr_vector",
     "scan",
     "null_counts",
     "llr_star_batch",
     "rank_pvalue",
+    "reference_pvalue",
     "mc_pvalue",
 ]
-
-
-def _xlogy(x, y):
-    """x*log(y) with the 0*log(0) = 0 convention, vectorized."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast(x, y).shape)
-    mask = x > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.copyto(out, x * np.log(y), where=mask)
-    return out
-
-
-def log_lr_vector(y_c, n_c, y_g, n_g):
-    """Vectorized window log likelihood ratio; zero unless inside rate is higher."""
-    y_c = np.asarray(y_c, dtype=float)
-    n_c = np.asarray(n_c, dtype=float)
-    y_g = np.asarray(y_g, dtype=float)
-    n_g = np.asarray(n_g, dtype=float)
-    y_out = y_g - y_c
-    n_out = n_g - n_c
-    overall = y_g / n_g
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inside = y_c / n_c
-        outside = np.where(n_out > 0, y_out / np.maximum(n_out, 1e-300), np.inf)
-    llr = (
-        _xlogy(y_c, inside)
-        - _xlogy(y_c, overall)
-        + _xlogy(y_out, outside)
-        - _xlogy(y_out, overall)
-    )
-    high = inside > outside
-    return np.where(high, np.maximum(llr, 0.0), 0.0)
-
-
-def log_lr(y_c, n_c, y_g, n_g):
-    """Scalar log likelihood ratio for one window (contract-checked)."""
-    if not 0 <= y_c <= y_g:
-        raise ValueError("require 0 <= Y_C <= Y_G")
-    if not 0 < n_c < n_g:
-        raise ValueError("require 0 < N_C < N_G (window must be a proper subset)")
-    return float(log_lr_vector(y_c, n_c, y_g, n_g))
 
 
 @dataclass(frozen=True)
@@ -119,7 +78,7 @@ def _as_counts(counts, m):
     return out
 
 
-# values in one block of the stream in llr_star_batch, small enough that a
+# values in one block of the stream of _window_counts, small enough that a
 # band's five buffers stay in cache: at m = 400 with 999 rows, 1 << 16 took
 # 1.3-1.4 s per call and 1 << 18 took 1.6-1.8 s on a 2-CPU x86-64 host.  It
 # also bounds the ``k log k`` table of :func:`_xlogx_table` (512 KB at most)
@@ -187,11 +146,12 @@ def _llr_kernel(y_c, y_g, n_g, terms, table, out, tmp, high, index):
     evaluated by logs when it is None; both give the same bits.  The value
     returned is clamped at zero and gated to zero unless ``y N > Y n_c``
     (inside rate higher), and for the windows marked ``gated``; the gate is
-    a multiply by a boolean, not a branch per element.  :func:`scan` and
-    :func:`llr_star_batch` both evaluate through this function, so equal
-    count vectors give bit-equal statistics.  The terms are of size
-    ``Y log Y``, so the absolute rounding error grows with the total: about
-    ``2 eps Y log Y`` against the rate-ratio form of :func:`log_lr_vector`.
+    a multiply by a boolean, not a branch per element.  :func:`scan`,
+    :func:`llr_star_batch` and :func:`reference_pvalue` all evaluate through
+    this function, so equal counts give bit-equal statistics.  The terms are
+    of size ``Y log Y``, so the absolute rounding error grows with the total:
+    about ``2 eps Y log Y`` against the rate-ratio form
+    ``y log(r_in / r) + (Y-y) log(r_out / r)``.
 
     ``tmp`` holds two float arrays, ``high`` one boolean and ``index`` one
     intp array of ``out``'s shape, used as scratch.
@@ -293,42 +253,31 @@ def null_counts(rng, total, populations, size, factor=None):
     return rng.multinomial(total, p / p.sum(axis=1, keepdims=True))
 
 
-def llr_star_batch(counts, populations, windows: WindowSet):
-    """Max statistic for each row of a (k, m) count matrix.
+def _window_counts(counts, windows: WindowSet):
+    """Stream the (windows x rows) counts of a (k, m) count matrix.
 
-    The windows are streamed by length (:attr:`WindowSet.by_length`), a band
-    of prefix positions at a time: a running (centres x rows) count adds the
-    next regions of every centre's (distance, id) order, the band's windows
-    are picked from it and evaluated by the kernel that :func:`scan` uses, and
-    each row keeps its running maximum.  Rows and bands are sized so that no
-    block holds more than ``_STREAM_ELEMENTS`` values, so memory is O(m k)
-    and no (windows x k) array is built.
+    The windows come by length (:attr:`WindowSet.by_length`), a band of
+    prefix positions at a time: a running (centres x rows) count adds the
+    next regions of every centre's (distance, id) order, and the band's
+    windows are picked from it.  Yields ``(rows, idx, y_c, scratch)``: the
+    slice of the block's rows, the indices of the band's windows, their
+    float counts, and the kernel's scratch of that shape (three float
+    arrays, a boolean and an intp one).  No block holds more than
+    ``_STREAM_ELEMENTS`` values, so memory is O(m k).
     """
-    counts = _as_counts(counts, windows.m)
-    best = np.zeros(len(counts))
-    if len(windows) == 0 or len(counts) == 0:
-        return best
     take, extent, window, slot, start = windows.by_length
     width, centres = len(extent), extent[0]
     depth = windows.length[window] - 1
-    n_g, terms = _population_terms(populations, windows)
-    n_c, logit, log_out, gated = terms
-    terms = (n_c[window, None], logit[window, None], log_out[window, None], gated[window])
     step = max(1, _STREAM_ELEMENTS // centres)
     for s in range(0, len(counts), step):
         block = counts[s:s + step]
         k = len(block)
-        y_g = block.sum(axis=1).astype(float)  # whole numbers below 2**53 are exact
-        if (y_g == y_g[0]).all():
-            y_g = y_g[:1]  # one total: the row terms stay one column wide
-        table = _xlogx_table(y_g)
         values = np.ascontiguousarray(block.T, dtype=float)
         band = min(width, max(1, _STREAM_ELEMENTS // (centres * k)))
         buffers = np.empty((5, band * centres * k))
         high = np.empty(buffers.shape[1], dtype=bool)
         index = np.empty(buffers.shape[1], dtype=np.intp)
         running = np.zeros((centres, k))
-        top = best[s:s + step]
         for j in range(0, width, band):
             stop, c = min(j + band, width), extent[j]
             # prefix counts of the band's positions for the first c ranked
@@ -344,9 +293,33 @@ def llr_star_batch(counts, populations, windows: WindowSet):
                      for a in (*buffers[1:], high, index)]
             y_c = np.take(y.reshape(-1, k), (depth[w] - j) * c + slot[w], axis=0,
                           out=views[0], mode="clip")
-            llr = _llr_kernel(y_c, y_g, n_g, [a[w] for a in terms], table, views[1],
-                              views[2:4], *views[4:])
-            np.maximum(top, llr.max(axis=0, initial=0.0), out=top)
+            yield slice(s, s + k), window[w], y_c, views[1:]
+
+
+def llr_star_batch(counts, populations, windows: WindowSet):
+    """Max statistic for each row of a (k, m) count matrix.
+
+    The window counts are streamed by :func:`_window_counts` and evaluated by
+    the kernel that :func:`scan` uses; each row keeps its running maximum.  A
+    Monte Carlo p-value needs only whether each maximum reaches the observed
+    statistic, which :func:`reference_pvalue` answers without the kernel.
+    """
+    counts = _as_counts(counts, windows.m)
+    best = np.zeros(len(counts))
+    if len(windows) == 0 or len(counts) == 0:
+        return best
+    n_g, terms = _population_terms(populations, windows)
+    terms = (*(a[:, None] for a in terms[:3]), terms[3])
+    y_g = counts.sum(axis=1).astype(float)  # whole numbers below 2**53 are exact
+    if (y_g == y_g[0]).all():
+        y_g = y_g[:1]  # one total: the row terms stay one column wide
+    table = _xlogx_table(y_g)
+    for rows, idx, y_c, scratch in _window_counts(counts, windows):
+        llr = _llr_kernel(y_c, y_g if len(y_g) == 1 else y_g[rows], n_g,
+                          [a[idx] for a in terms], table, scratch[0], scratch[1:3],
+                          *scratch[3:])
+        top = best[rows]
+        np.maximum(top, llr.max(axis=0, initial=0.0), out=top)
     return best
 
 
@@ -356,12 +329,50 @@ def rank_pvalue(observed, reference):
     return (1 + int(np.count_nonzero(reference >= observed))) / (len(reference) + 1)
 
 
+def reference_pvalue(observed, counts, populations, windows: WindowSet):
+    """``rank_pvalue(observed, llr_star_batch(counts, populations, windows))``
+    for rows of one total Y, as every :func:`null_counts` reference has.
+
+    A window's statistic is 0 up to its gate and nondecreasing in its count y
+    above it, so a row's maximum reaches ``observed`` > 0 exactly when some
+    window holds more than its count ``below``: the largest y <= Y whose
+    statistic stays under ``observed``, or -1.  A bisection finds ``below``
+    with the kernel on (windows x 1) candidates, so that ties compare the
+    same bits as the maximum; the stream then compares counts where the
+    maximum evaluates the kernel.
+    """
+    counts = _as_counts(counts, windows.m)
+    y_g = counts.sum(axis=1).astype(float)
+    if (y_g != y_g[:1]).any():
+        raise ValueError("reference rows must share one case total")
+    if observed <= 0:
+        return 1.0  # every maximum is at least 0
+    hit = np.zeros(len(counts), dtype=bool)
+    if len(windows) and len(counts):
+        total = y_g[:1]
+        n_g, terms = _population_terms(populations, windows)
+        terms = (*(a[:, None] for a in terms[:3]), terms[3])
+        table = _xlogx_table(total)
+        out, *tmp, y = np.empty((4, len(windows), 1))
+        high, index = np.empty(y.shape, dtype=bool), np.empty(y.shape, dtype=np.intp)
+        below = np.full(y.shape, -1.0)
+        step = 1 << int(total[0] + 1).bit_length() - 1
+        while step:
+            np.minimum(below + step, total, out=y)
+            f = _llr_kernel(y, total, n_g, terms, table, out, tmp, high, index)
+            # as in rank_pvalue, a NaN ``observed`` is reached by no value
+            np.copyto(below, below + step, where=(below + step <= total) & ~(f >= observed))
+            step >>= 1
+        for rows, idx, y_c, scratch in _window_counts(counts, windows):
+            hit[rows] |= np.greater(y_c, below[idx], out=scratch[3]).any(axis=0)
+    return (1 + int(np.count_nonzero(hit))) / (len(hit) + 1)
+
+
 def mc_pvalue(observed_llr, sr: StudyRegion, windows: WindowSet, M=999,
               seed=None, period=None):
     """Rank-based Monte Carlo p-value r/(M+1) against the classical null of
-    :func:`null_counts` for ``period``."""
+    :func:`null_counts` for ``period``, by :func:`reference_pvalue`."""
     _check_whole("M", M, 1)
     n = sr.period_populations(period)
-    sims = llr_star_batch(null_counts(np.random.default_rng(seed), sr.total_cases(period),
-                                      n, M), n, windows)
-    return rank_pvalue(observed_llr, sims)
+    counts = null_counts(np.random.default_rng(seed), sr.total_cases(period), n, M)
+    return reference_pvalue(observed_llr, counts, n, windows)

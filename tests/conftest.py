@@ -88,6 +88,49 @@ def brute_force_llr(y_c, n_c, y_g, n_g):
     return max(val, 0.0)
 
 
+def _xlogy(x, y):
+    """x*log(y) with the 0*log(0) = 0 convention, vectorized."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(np.broadcast(x, y).shape)
+    mask = x > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.copyto(out, x * np.log(y), where=mask)
+    return out
+
+
+def log_lr_vector(y_c, n_c, y_g, n_g):
+    """Vectorized window log likelihood ratio in the rate-ratio form; zero unless
+    the inside rate is higher; the oracle of :func:`dense_window_llr`."""
+    y_c = np.asarray(y_c, dtype=float)
+    n_c = np.asarray(n_c, dtype=float)
+    y_g = np.asarray(y_g, dtype=float)
+    n_g = np.asarray(n_g, dtype=float)
+    y_out = y_g - y_c
+    n_out = n_g - n_c
+    overall = y_g / n_g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = y_c / n_c
+        outside = np.where(n_out > 0, y_out / np.maximum(n_out, 1e-300), np.inf)
+    llr = (
+        _xlogy(y_c, inside)
+        - _xlogy(y_c, overall)
+        + _xlogy(y_out, outside)
+        - _xlogy(y_out, overall)
+    )
+    high = inside > outside
+    return np.where(high, np.maximum(llr, 0.0), 0.0)
+
+
+def log_lr(y_c, n_c, y_g, n_g):
+    """Scalar log likelihood ratio for one window (contract-checked)."""
+    if not 0 <= y_c <= y_g:
+        raise ValueError("require 0 <= Y_C <= Y_G")
+    if not 0 < n_c < n_g:
+        raise ValueError("require 0 < N_C < N_G (window must be a proper subset)")
+    return float(log_lr_vector(y_c, n_c, y_g, n_g))
+
+
 def brute_force_scan(sr, counts=None, max_fraction=0.5):
     """(llr_star, best member set) by exhaustive enumeration."""
     y = np.asarray(counts if counts is not None else sr.cases[0], dtype=float)
@@ -140,8 +183,6 @@ def dense_window_llr(counts, populations, members):
     ``members`` lists each window's member indices; returns (llr, y_c, n_c)
     with llr of shape (k, windows) for a (k, m) count batch.
     """
-    from corrscan.scan import log_lr_vector
-
     counts = np.atleast_2d(np.asarray(counts, dtype=float))
     n = np.asarray(populations, dtype=float)
     mat = np.zeros((len(members), len(n)))

@@ -206,12 +206,59 @@ def test_type1_study_command(tmp_path, capsys):
     out = str(tmp_path / "study.json")
     code = main(["--seed", "5", "type1-study", "--m", "8", "--beta", "-5.0",
                  "--replicates", "3", "--mc-size", "39",
-                 "--sigma", "0.0", "--rho", "0.0", "--out", out])
+                 "--sigma", "0.0", "--rho", "0.0", "--out", out,
+                 "--out-dir", str(tmp_path / "runs")])
     assert code == EXIT_OK
     with open(out) as fh:
         manifest = json.load(fh)
     assert manifest["rows"]
     assert all(r["mode"] == "classical" for r in manifest["rows"])
+    # every replicate's p-value is kept, so the proportions can be recomputed
+    (setting,) = manifest["pvalues"]
+    assert {k: setting[k] for k in ("sigma", "rho", "mode")} == {
+        "sigma": 0.0, "rho": 0.0, "mode": "classical"}
+    pvalues = np.array(setting["pvalues"])
+    assert len(pvalues) == manifest["rows"][0]["replicates"] == 3
+    assert ((pvalues >= 1 / 40) & (pvalues <= 1)).all()
+    for row in manifest["rows"]:
+        assert row["proportion"] == np.mean(pvalues <= row["alpha"])
+    (written,) = (tmp_path / "runs").glob("study_*.json")
+    assert json.loads(written.read_text()) == manifest
+
+
+def test_pvalues_rank_critical_counts_without_the_maxima(region_files, tmp_path, monkeypatch):
+    # scan and surveil take their p-values from reference_pvalue and so never
+    # evaluate every window of the reference; adjusted-scan needs the values
+    # of its references, for the classical screen and then once per iteration
+    scan_module = importlib.import_module("corrscan.scan")
+    original = scan_module.llr_star_batch
+    calls = []
+
+    def counting(counts, populations, windows):
+        calls.append(len(counts))
+        return original(counts, populations, windows)
+
+    for name in ("scan", "adjusted", "harness", "cli"):
+        module = importlib.import_module(f"corrscan.{name}")
+        if vars(module).get("llr_star_batch") is original:
+            monkeypatch.setattr(module, "llr_star_batch", counting)
+    geo, pop, cas = region_files
+    chain = ["--set", "mcmc.n_iter=300", "--set", "mcmc.burn_in=100", "--set", "mcmc.thin=1"]
+    out = tmp_path / "out.json"
+    assert main(["--seed", "1", "scan", "--geo", geo, "--pop", pop, "--cas", cas,
+                 "--mc-size", "99", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["p_value"] < 1 and calls == []
+    multi = str(tmp_path / "multi.txt")
+    assert main(["--seed", "0", "synth-geo", "--m", "8", "--periods", "3", "--cases", "300",
+                 "--out", multi]) == EXIT_OK
+    assert main(["--seed", "2", *chain, "surveil", "--geo", multi, "--pop", multi + ".pop",
+                 "--cas", multi + ".cas", "--train-period", "0", "--mc-size", "99",
+                 "--out", str(out)]) == EXIT_OK
+    assert len(json.loads(out.read_text())["periods"]) == 2 and calls == []
+    assert main(["--seed", "3", *chain, "adjusted-scan", "--geo", geo, "--pop", pop,
+                 "--cas", cas, "--mc-size", "99", "--out", str(out)]) == EXIT_OK
+    iterations = len(json.loads(out.read_text())["iterations"])
+    assert iterations >= 1 and calls == [99] * (1 + iterations)
 
 
 def test_fdr_command(tmp_path, capsys):

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from corrscan import StudyRegion, distance_matrix, enumerate_windows, scan
+from corrscan import (MaternParams, StudyRegion, cholesky, distance_matrix, enumerate_windows,
+                      matern_cov, scan)
 from corrscan.region import InputError
-from corrscan.scan import llr_star_batch, rank_pvalue
+from corrscan.scan import llr_star_batch, null_counts, rank_pvalue, reference_pvalue
 
 from conftest import (
     brute_force_scan,
@@ -172,9 +173,13 @@ def test_streamed_maximum_matches_dense_and_scan(m, seed, frac, coincident, bloc
 
 def _kernel(counts, populations, ws, one_total):
     """The kernel on every window of ``ws`` for a (k, m) block, as llr_star_batch calls it."""
-    n_g, (n_c, logit, log_out, gated) = scan_module._population_terms(populations, ws)
-    y_c = ws.window_sums(counts.astype(float))
     y_g = counts.sum(axis=1).astype(float)[:1 if one_total else None]
+    return _kernel_at(ws.window_sums(counts.astype(float)), y_g, populations, ws)
+
+
+def _kernel_at(y_c, y_g, populations, ws):
+    """The kernel at (windows x k) window counts ``y_c`` of rows with totals ``y_g``."""
+    n_g, (n_c, logit, log_out, gated) = scan_module._population_terms(populations, ws)
     out, *tmp = np.empty((3, *y_c.shape))
     return scan_module._llr_kernel(
         y_c, y_g, n_g, (n_c[:, None], logit[:, None], log_out[:, None], gated),
@@ -265,6 +270,85 @@ def test_share_that_underflows_keeps_the_score_of_its_cases_finite():
     assert np.isfinite(star[0]) and want == pytest.approx(746.02, abs=0.01)
     assert star[0] == res.llr_star == pytest.approx(want, rel=1e-14)
     assert res.primary.members == members
+
+
+# the geometry of the two share-underflow tests above: 1e-20 / 2e305 rounds to 0
+UNDERFLOW = dict(ids=("A", "B", "C", "D"), centroids=[[0, 0], [1, 0], [5, 0], [6, 0]],
+                 periods=("all",), populations=[[1e-20, 1e-20, 1e305, 1e305]])
+
+
+@pytest.mark.parametrize("geometry, totals", [
+    ("random", (7, 331, 4099)),
+    ("random", (1 << 16, 100_003)),
+    ("underflow", (1, 8, 500)),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_never_falls_as_the_window_count_rises(geometry, totals):
+    # reference_pvalue is exact only if, for one row total Y, every window's
+    # statistic is nondecreasing over y = 0 .. Y.  Totals below
+    # _STREAM_ELEMENTS take the k log k table and the others the logs; the
+    # window of every region (max_fraction 1) is gated to 0
+    rng = np.random.default_rng(totals[0])
+    if geometry == "random":
+        sr = random_region(rng, 40 if totals[0] < scan_module._STREAM_ELEMENTS else 8)
+    else:
+        sr = StudyRegion(**UNDERFLOW, cases=[[1, 0, 3, 4]])
+    ws = enumerate_windows(sr, distance_matrix(sr), 1.0)
+    n = sr.populations[0]
+    for total in totals:
+        y_g = np.array([float(total)])
+        assert (scan_module._xlogx_table(y_g) is None) == (total >= scan_module._STREAM_ELEMENTS)
+        f = np.hstack([_kernel_at(np.tile(np.arange(lo, min(lo + 4096, total + 1.0)),
+                                          (len(ws), 1)), y_g, n, ws)
+                       for lo in range(0, total + 1, 4096)])
+        assert np.isfinite(f).all() and f[:, -1].max() > 0
+        assert (np.diff(f, axis=1) >= 0).all(), total
+
+
+@pytest.mark.parametrize("mode", ["multinomial", "field"])
+@pytest.mark.parametrize("block", [1 << 16, 40, 1])
+@pytest.mark.parametrize("scale", [1, 2000])
+def test_reference_pvalue_equals_the_rank_of_the_maxima(mode, block, scale):
+    # the critical-count p-value against rank_pvalue over llr_star_batch, for
+    # both null_counts draws: at every row's own maximum (exact ties), at 0,
+    # above every row, and at the brute-force scan of two observed rows.
+    # ``block`` shrinks the stream so that row chunks, one-position bands and
+    # (at 1, or at the larger total) the kernel's log path all run
+    rng = np.random.default_rng(scale + block)
+    sr = random_region(rng, 24)
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    n = sr.populations[0]
+    total = int(sr.cases[0].sum()) * scale
+    factor = None if mode == "multinomial" else cholesky(
+        matern_cov(distance_matrix(sr), MaternParams(sigma=0.8, rho=3.0)))
+    ref = null_counts(rng, total, n, 45, factor)
+    observed = [brute_force_scan(sr, row)[0] for row in (sr.cases[0], ref[0] + sr.cases[0])]
+    with mock.patch.object(scan_module, "_STREAM_ELEMENTS", block):
+        star = llr_star_batch(ref, n, ws)
+        assert len(set(star.tolist())) > 10
+        for s in (*star, 0.0, star.max() * (1 + 1e-12), *observed):
+            assert reference_pvalue(s, ref, n, ws) == rank_pvalue(s, star), s
+    assert reference_pvalue(0.0, ref, n, ws) == 1.0
+    assert reference_pvalue(star.max() + 1, ref, n, ws) == 1 / 46
+
+
+def test_reference_pvalue_on_a_share_that_underflows():
+    sr = StudyRegion(**UNDERFLOW, cases=[[1, 0, 3, 4]])
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    n = sr.populations[0]
+    ref = np.array([[1, 0, 3, 4], [0, 0, 3, 5], [0, 1, 4, 3], [2, 0, 3, 3]])
+    star = llr_star_batch(ref, n, ws)
+    for s in (*star, 1.0, 746.0, 747.0):
+        assert reference_pvalue(s, ref, n, ws) == rank_pvalue(s, star)
+
+
+def test_reference_pvalue_needs_one_total(small_region):
+    ws = enumerate_windows(small_region, distance_matrix(small_region), 0.5)
+    n = small_region.populations[0]
+    with pytest.raises(ValueError, match="one case total"):
+        reference_pvalue(1.0, [[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 7]], n, ws)
+    assert reference_pvalue(1.0, np.zeros((0, 6), dtype=int), n, ws) == 1.0
+    assert reference_pvalue(1.0, np.zeros((9, 6), dtype=int), n, ws) == 1 / 10
 
 
 def test_stream_memory_stays_far_below_windows_by_rows():

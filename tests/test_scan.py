@@ -7,15 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from corrscan import CovFactor, distance_matrix, enumerate_windows, log_lr, scan
-from corrscan.scan import (
-    llr_star_batch,
-    log_lr_vector,
-    mc_pvalue,
-    null_counts,
-)
+from corrscan import CovFactor, distance_matrix, enumerate_windows, scan
+from corrscan.scan import llr_star_batch, mc_pvalue, null_counts
 
-from conftest import brute_force_llr, brute_force_scan, random_region
+from conftest import brute_force_llr, brute_force_scan, log_lr, log_lr_vector, random_region
 
 
 # ------------------------------------------------------------------- log_lr
