@@ -202,7 +202,8 @@ def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_peri
     summary = _fit_summary(fit)
     factor = _field_factor(dm, summary["sigma"], summary["rho_grid"])
     # one stream per reference, so that neither p-value depends on the other's draws
-    rng_classical, rng_adjusted = rng.spawn(2)
+    rng_classical, rng_adjusted = (np.random.default_rng(s) for s in
+                                   np.random.SeedSequence(rng.integers(2**63)).spawn(2))
 
     results = []
     for period in test_periods:

@@ -131,6 +131,14 @@ class ModelIIFit:
         return len(self.beta)
 
     @property
+    def posterior_mean(self):
+        return (
+            float(self.beta.mean()),
+            float(self.sigma.mean()),
+            float(self.rho.mean()),
+        )
+
+    @property
     def rho_boundary_fraction(self):
         """Fraction of rho draws in the top 5% of the grid (upper-bound diagnostic)."""
         cutoff = self.prior.rho_upper - max(1, int(math.ceil(0.05 * self.prior.rho_upper))) + 1
@@ -389,19 +397,31 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
         "ridge": ridge_acc / denom,
         "scale": scale_acc / denom,
     }
-    ess = {name: effective_sample_size(draws) for name, draws in
-           (("beta", beta_draws), ("sigma", sigma_draws), ("rho", rho_draws))}
+    ess = {
+        "beta": effective_sample_size(beta_draws),
+        "sigma": effective_sample_size(sigma_draws),
+        "rho": effective_sample_size(rho_draws),
+    }
     warnings = []
     if ess["beta"] < 100:
         warnings.append(f"low ESS for beta: {ess['beta']:.1f} < 100")
-    return ModelIIFit(beta=beta_draws, sigma=sigma_draws, rho=rho_draws, acceptance=acceptance,
-                      ess=ess, config=config, prior=prior, seed=seed, warnings=tuple(warnings))
+    return ModelIIFit(
+        beta=beta_draws,
+        sigma=sigma_draws,
+        rho=rho_draws,
+        acceptance=acceptance,
+        ess=ess,
+        config=config,
+        prior=prior,
+        seed=seed,
+        warnings=tuple(warnings),
+    )
 
 
 def posterior_means(fit: ModelIIFit):
     """(beta_hat, sigma_hat, rho_hat); rho_hat also snapped to the grid."""
     if fit.n_draws < 1:
         raise ValueError("no retained draws")
-    b, s, r = (float(draws.mean()) for draws in (fit.beta, fit.sigma, fit.rho))
+    b, s, r = fit.posterior_mean
     r_grid = float(np.clip(round(r), 1, fit.prior.rho_upper))
     return b, s, r, r_grid

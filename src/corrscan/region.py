@@ -119,9 +119,11 @@ class StudyRegion:
             raise InputError("negative case count")
         for arr in (centroids, pops, cases):
             arr.setflags(write=False)
-        for name, value in (("ids", ids), ("periods", periods), ("centroids", centroids),
-                            ("populations", pops), ("cases", cases)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "centroids", centroids)
+        object.__setattr__(self, "populations", pops)
+        object.__setattr__(self, "cases", cases)
 
     @property
     def m(self):

@@ -96,17 +96,18 @@ def _xlogx(v, out):
 def _xlogx_table(y_g):
     """:func:`_xlogx` of ``0 .. max(y_g)`` for row totals ``y_g``, or None.
 
-    With one total Y the entry k holds ``T(k) + T(Y - k)``, so that one
-    gather gives both count terms.  Entries equal what :func:`_xlogx`
-    computes bit for bit.  None (evaluate the logs) once the largest total
-    reaches ``_STREAM_ELEMENTS``, so no table outgrows one stream block.
+    ``y_g`` is a scalar when every row shares one total Y; then the entry k
+    holds ``T(k) + T(Y - k)``, so that one gather gives both count terms.
+    Entries equal what :func:`_xlogx` computes bit for bit.  None (evaluate
+    the logs) once the largest total reaches ``_STREAM_ELEMENTS``, so no
+    table outgrows one stream block.
     """
-    top = int(y_g.max())
+    top = int(np.max(y_g))
     if top >= _STREAM_ELEMENTS:
         return None
     k = np.arange(top + 1.0)
     table = _xlogx(k, np.empty_like(k))
-    return table + table[::-1] if len(y_g) == 1 else table
+    return table if np.ndim(y_g) else table + table[::-1]
 
 
 def _population_terms(populations, windows: WindowSet):
@@ -141,12 +142,14 @@ def _llr_kernel(y_c, y_g, n_g, terms, table, out, tmp, high, index):
     ``T(y) + T(Y-y) - T(Y) - y log mu - (Y-y) log(1-mu)``, where
     ``T(k) = k log k``, ``y`` the window count, ``Y`` the row total and
     ``mu = n_c / N`` the window's population share; ``terms`` are the
-    windows' entries of :func:`_population_terms`.  ``T(y) + T(Y-y)`` is
-    gathered from ``table``, the :func:`_xlogx_table` of ``y_g``, and
-    evaluated by logs when it is None; both give the same bits.  The value
-    returned is clamped at zero and gated to zero unless ``y N > Y n_c``
-    (inside rate higher), and for the windows marked ``gated``; the gate is
-    a multiply by a boolean, not a branch per element.  :func:`scan`,
+    windows' entries of :func:`_population_terms`.  ``y_g`` is a scalar
+    when all rows share one total, else one total per row.  ``T(y) +
+    T(Y-y)`` is gathered from ``table``, the :func:`_xlogx_table` of
+    ``y_g``, and evaluated by logs when it is None; both give the same
+    bits.  The value returned is clamped at zero and gated to zero unless
+    ``y N > Y n_c`` (inside rate higher), and for the windows marked
+    ``gated``; the gate is a multiply by a boolean, not a branch per
+    element.  :func:`scan`,
     :func:`llr_star_batch` and :func:`reference_pvalue` all evaluate through
     this function, so equal counts give bit-equal statistics.  The terms are
     of size ``Y log Y``, so the absolute rounding error grows with the total:
@@ -164,13 +167,13 @@ def _llr_kernel(y_c, y_g, n_g, terms, table, out, tmp, high, index):
     else:
         np.copyto(index, y_c, casting="unsafe")
         np.take(table, index, out=out, mode="clip")
-        if len(y_g) > 1:  # unequal totals: T(y) and T(Y-y) are two gathers
+        if np.ndim(y_g):  # totals per row: T(y) and T(Y-y) are two gathers
             np.subtract(y_g.astype(np.intp), index, out=index)
             out += np.take(table, index, out=tmp[0], mode="clip")
     out -= np.multiply(y_c, logit, out=tmp[0])
     out -= _xlogx(y_g, np.empty_like(y_g)) + y_g * log_out
     # one total keeps Y n_c one column wide
-    rhs = y_g * n_c if len(y_g) == 1 else np.multiply(y_g, n_c, out=tmp[1])
+    rhs = np.multiply(y_g, n_c, out=tmp[1]) if np.ndim(y_g) else y_g * n_c
     np.greater(np.multiply(y_c, n_g, out=tmp[0]), rhs, out=high)
     high[gated] = False
     # clamp before the multiply, so that no -0.0 appears; fmax also maps the
@@ -210,7 +213,7 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
     n_g, terms = _population_terms(sr.period_populations(period), windows)
     n_c = terms[0]
     y_c = windows.window_sums(y.astype(float))[:, 0]
-    y_g = y.sum(axis=1).astype(float)
+    y_g = float(y.sum())
     out, *tmp = np.empty((3, len(y_c)))
     llr = _llr_kernel(y_c, y_g, n_g, terms, _xlogx_table(y_g), out, tmp,
                       np.empty(len(y_c), dtype=bool), np.empty(len(y_c), dtype=np.intp))
@@ -312,10 +315,10 @@ def llr_star_batch(counts, populations, windows: WindowSet):
     terms = (*(a[:, None] for a in terms[:3]), terms[3])
     y_g = counts.sum(axis=1).astype(float)  # whole numbers below 2**53 are exact
     if (y_g == y_g[0]).all():
-        y_g = y_g[:1]  # one total: the row terms stay one column wide
+        y_g = y_g[0]  # one total: the row terms stay one column wide
     table = _xlogx_table(y_g)
     for rows, idx, y_c, scratch in _window_counts(counts, windows):
-        llr = _llr_kernel(y_c, y_g if len(y_g) == 1 else y_g[rows], n_g,
+        llr = _llr_kernel(y_c, y_g[rows] if np.ndim(y_g) else y_g, n_g,
                           [a[idx] for a in terms], table, scratch[0], scratch[1:3],
                           *scratch[3:])
         top = best[rows]
@@ -333,13 +336,15 @@ def reference_pvalue(observed, counts, populations, windows: WindowSet):
     """``rank_pvalue(observed, llr_star_batch(counts, populations, windows))``
     for rows of one total Y, as every :func:`null_counts` reference has.
 
-    A window's statistic is 0 up to its gate and nondecreasing in its count y
-    above it, so a row's maximum reaches ``observed`` > 0 exactly when some
-    window holds more than its count ``below``: the largest y <= Y whose
-    statistic stays under ``observed``, or -1.  A bisection finds ``below``
-    with the kernel on (windows x 1) candidates, so that ties compare the
-    same bits as the maximum; the stream then compares counts where the
-    maximum evaluates the kernel.
+    A window's statistic is 0 up to its gate and, while the kernel is
+    nondecreasing in the window count y above it, a row's maximum reaches
+    ``observed`` > 0 exactly when some window holds more than its count
+    ``below``: the largest y <= Y whose statistic stays under ``observed``,
+    or -1.  A bisection finds ``below`` with the kernel on (windows x 1)
+    candidates, so that ties compare the same bits as the maximum; the
+    stream then compares counts where the maximum evaluates the kernel.
+    The kernel is not monotone where ``y N`` overflows (populations near
+    the float maximum), and there the two p-values can differ.
     """
     counts = _as_counts(counts, windows.m)
     y_g = counts.sum(axis=1).astype(float)
@@ -349,14 +354,14 @@ def reference_pvalue(observed, counts, populations, windows: WindowSet):
         return 1.0  # every maximum is at least 0
     hit = np.zeros(len(counts), dtype=bool)
     if len(windows) and len(counts):
-        total = y_g[:1]
+        total = y_g[0]
         n_g, terms = _population_terms(populations, windows)
         terms = (*(a[:, None] for a in terms[:3]), terms[3])
         table = _xlogx_table(total)
         out, *tmp, y = np.empty((4, len(windows), 1))
         high, index = np.empty(y.shape, dtype=bool), np.empty(y.shape, dtype=np.intp)
         below = np.full(y.shape, -1.0)
-        step = 1 << int(total[0] + 1).bit_length() - 1
+        step = 1 << int(total + 1).bit_length() - 1
         while step:
             np.minimum(below + step, total, out=y)
             f = _llr_kernel(y, total, n_g, terms, table, out, tmp, high, index)

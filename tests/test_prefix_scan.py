@@ -173,7 +173,8 @@ def test_streamed_maximum_matches_dense_and_scan(m, seed, frac, coincident, bloc
 
 def _kernel(counts, populations, ws, one_total):
     """The kernel on every window of ``ws`` for a (k, m) block, as llr_star_batch calls it."""
-    y_g = counts.sum(axis=1).astype(float)[:1 if one_total else None]
+    y_g = counts.sum(axis=1).astype(float)
+    y_g = y_g[0] if one_total else y_g
     return _kernel_at(ws.window_sums(counts.astype(float)), y_g, populations, ws)
 
 
@@ -241,6 +242,25 @@ def test_total_at_the_table_bound_takes_the_log_path():
     assert not np.signbit(star).any() and not np.signbit(res.llr_star)
 
 
+def test_unequal_totals_with_a_block_of_one_row():
+    # rows of unequal totals on the k log k table, with blocks of 10 rows at
+    # m = 4: the last block holds one row, which still takes T(Y - y) from
+    # its own total
+    rng = np.random.default_rng(11)
+    sr = random_region(rng, 4)
+    ws = enumerate_windows(sr, distance_matrix(sr), 1.0)
+    n = sr.populations[0]
+    counts = rng.integers(0, 10, (11, sr.m))
+    assert len(set(counts.sum(axis=1))) > 1 and counts.sum(axis=1).max() < 40
+    assert ws.by_length[1][0] == 4  # four centres: 40 // 4 rows per block
+    with mock.patch.object(scan_module, "_STREAM_ELEMENTS", 40):
+        assert scan_module._xlogx_table(counts.sum(axis=1)) is not None
+        star = llr_star_batch(counts, n, ws)
+    assert np.array_equal(star, [scan(sr, ws, counts=row).llr_star for row in counts])
+    dense = dense_window_llr(counts, n, [w.members for w in ws])[0].max(axis=1)
+    assert np.max(np.abs(star - np.maximum(dense, 0.0))) < 1e-10
+
+
 def test_share_that_underflows_scores_zero_not_nan():
     # populations 1e-20 against a total of 2e305 give a share that rounds to
     # 0, whose logit is -inf: a window without cases there scores 0, as in
@@ -281,6 +301,11 @@ UNDERFLOW = dict(ids=("A", "B", "C", "D"), centroids=[[0, 0], [1, 0], [5, 0], [6
     ("random", (7, 331, 4099)),
     ("random", (1 << 16, 100_003)),
     ("underflow", (1, 8, 500)),
+    # y N overflows to inf once N is near the float maximum, which gates
+    # windows with a raised rate to 0 (the FOUND line on _llr_kernel's gate
+    # products in CHANGES.md)
+    pytest.param("underflow", (1 << 16,), marks=pytest.mark.xfail(
+        strict=True, reason="the gate products y N and Y n_c overflow")),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernel_never_falls_as_the_window_count_rises(geometry, totals):
@@ -296,7 +321,7 @@ def test_kernel_never_falls_as_the_window_count_rises(geometry, totals):
     ws = enumerate_windows(sr, distance_matrix(sr), 1.0)
     n = sr.populations[0]
     for total in totals:
-        y_g = np.array([float(total)])
+        y_g = float(total)
         assert (scan_module._xlogx_table(y_g) is None) == (total >= scan_module._STREAM_ELEMENTS)
         f = np.hstack([_kernel_at(np.tile(np.arange(lo, min(lo + 4096, total + 1.0)),
                                           (len(ws), 1)), y_g, n, ws)
