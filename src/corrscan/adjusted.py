@@ -147,7 +147,6 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
 
     iterations = []
     converged = False
-    final = tuple((c, llr, classical_p) for c, llr in clusters)
     dm = np.asarray(dm)
     for _ in range(config.max_iter):
         excluded, fit = _screened_fit(significant, y, n, dm, config.prior, config.mcmc,
@@ -175,9 +174,6 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
             converged = True
             break
         significant = new_significant
-    if not clusters:
-        # nothing detected: the single fit on all regions stands, p-values as run
-        converged = True
     return AdjustedScanResult(
         iterations=tuple(iterations),
         converged=converged,

@@ -159,7 +159,6 @@ def fit_empirical_null(grid, f):
 
 @dataclass(frozen=True)
 class FdrModel:
-    z: np.ndarray
     density: FittedDensity
     delta0: float
     sigma0: float
@@ -190,6 +189,6 @@ def fit_fdr_model(z, spline_df=5) -> FdrModel:
     z = np.asarray(z, dtype=float)
     density = fit_empirical_density(z, spline_df=spline_df)
     delta0, sigma0 = fit_empirical_null(density.grid, density.f)
-    model = FdrModel(z=z, density=density, delta0=delta0, sigma0=sigma0,
+    model = FdrModel(density=density, delta0=delta0, sigma0=sigma0,
                      fdr=np.empty(0))
     return replace(model, fdr=np.asarray(local_fdr(model, z)[0]))

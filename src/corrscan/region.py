@@ -320,23 +320,6 @@ class WindowSet:
             arr.setflags(write=False)
         return layout
 
-    def window_sums(self, values):
-        """Per-window sums of a (k, m) block, as a (windows, k) array.
-
-        Cumulative sums run along each center's order, one prefix position at
-        a time over a (width, m, k) block, and are gathered at each window's
-        (length - 1, center).  Integer input sums exactly.
-        """
-        block = np.ascontiguousarray(np.asarray(values).T)[self.order.T]
-        for j in range(1, len(block)):
-            block[j] += block[j - 1]
-        last = (self.length - 1) * self.m + self.center
-        return block.reshape(self.order.size, len(values))[last]
-
-    def aggregate(self, values):
-        """Per-window sums of a length-m vector."""
-        return self.window_sums(np.asarray(values)[None, :])[:, 0]
-
 
 def enumerate_windows(sr: StudyRegion, dm: np.ndarray, max_fraction: float = 0.5) -> WindowSet:
     """Enumerate circular candidate windows centred at region centroids.

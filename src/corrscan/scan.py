@@ -93,36 +93,37 @@ def _xlogx(v, out):
     return out
 
 
-def _xlogx_table(y_g):
-    """:func:`_xlogx` of ``0 .. max(y_g)`` for row totals ``y_g``, or None.
+def _xlogx_table(total):
+    """``T(k) + T(total - k)`` for ``k = 0 .. total``, ``T`` being :func:`_xlogx`.
 
-    ``y_g`` is a scalar when every row shares one total Y; then the entry k
-    holds ``T(k) + T(Y - k)``, so that one gather gives both count terms.
-    Entries equal what :func:`_xlogx` computes bit for bit.  None (evaluate
-    the logs) once the largest total reaches ``_STREAM_ELEMENTS``, so no
+    One gather gives both count terms, with the bits of :func:`_xlogx`.  None
+    (evaluate the logs) once ``total`` reaches ``_STREAM_ELEMENTS``, so no
     table outgrows one stream block.
     """
-    top = int(np.max(y_g))
-    if top >= _STREAM_ELEMENTS:
+    if total >= _STREAM_ELEMENTS:
         return None
-    k = np.arange(top + 1.0)
+    k = np.arange(total + 1.0)
     table = _xlogx(k, np.empty_like(k))
-    return table if np.ndim(y_g) else table + table[::-1]
+    return table + table[::-1]
 
 
 def _population_terms(populations, windows: WindowSet):
-    """The study total N and per-window ``(n_c, logit mu, log(1 - mu), gated)``.
+    """Window populations ``n_c``, then the study total N and the per-window
+    ``(n_c, logit mu, log(1 - mu), gated)`` that :func:`_llr_kernel` reads.
 
     ``mu = n_c / N`` is the window's population share.  ``gated`` marks the
     windows whose statistic is zero: the window of all m regions and any
     whose share rounds to 1 or above.  Their share is set to 1/2 so that both
     logs stay finite.  A positive share below the smallest normal float
     (one that underflows to 0 or loses bits) takes its log as
-    ``log(n_c) - log(N)``.
+    ``log(n_c) - log(N)``.  N and the column n_c enter only the kernel's gate
+    ``y N > Y n_c``, scaled by the power of two that puts N in [1/2, 1), so
+    neither product overflows; binary scaling is exact in the normal range.
+    The three columns are (windows, 1); ``gated`` is flat.
     """
     n = np.asarray(populations, dtype=float)
     n_g = n.sum()
-    n_c = windows.aggregate(n)
+    n_c = _window_sums(n[None, :], windows)[:, 0]
     mu = n_c / n_g
     gated = (windows.length == windows.m) | (mu >= 1)
     mu[gated] = 0.5
@@ -132,49 +133,51 @@ def _population_terms(populations, windows: WindowSet):
     tiny = (mu < np.finfo(float).tiny) & (n_c > 0)
     if tiny.any():
         log_mu[tiny] = np.log(n_c[tiny]) - np.log(n_g)
-    return n_g, (n_c, log_mu - log_out, log_out, gated)
+    e = -np.frexp(n_g)[1]
+    columns = (np.ldexp(n_c, e), log_mu - log_out, log_out)
+    return n_c, np.ldexp(n_g, e), (*(a[:, None] for a in columns), gated)
 
 
-def _llr_kernel(y_c, y_g, n_g, terms, table, out, tmp, high, index):
-    """Statistic of windows holding ``y_c`` of ``y_g`` cases, written into ``out``.
+def _scratch(shape):
+    """The kernel's scratch of ``shape``: ``out``, the two ``tmp``, ``high`` and ``index``."""
+    out, *tmp = np.empty((3, *shape))
+    return out, tmp, np.empty(shape, dtype=bool), np.empty(shape, dtype=np.intp)
+
+
+def _llr_kernel(y_c, total, n_g, terms, table, out, tmp, high, index):
+    """Statistic of windows holding ``y_c`` of ``total`` cases, written into ``out``.
 
     With whole-number counts the statistic is
     ``T(y) + T(Y-y) - T(Y) - y log mu - (Y-y) log(1-mu)``, where
-    ``T(k) = k log k``, ``y`` the window count, ``Y`` the row total and
-    ``mu = n_c / N`` the window's population share; ``terms`` are the
-    windows' entries of :func:`_population_terms`.  ``y_g`` is a scalar
-    when all rows share one total, else one total per row.  ``T(y) +
-    T(Y-y)`` is gathered from ``table``, the :func:`_xlogx_table` of
-    ``y_g``, and evaluated by logs when it is None; both give the same
-    bits.  The value returned is clamped at zero and gated to zero unless
-    ``y N > Y n_c`` (inside rate higher), and for the windows marked
-    ``gated``; the gate is a multiply by a boolean, not a branch per
-    element.  :func:`scan`,
+    ``T(k) = k log k``, ``y`` the window count, ``Y`` the scalar ``total``
+    that every row shares and ``mu = n_c / N`` the window's population
+    share; ``n_g`` and ``terms`` are the scaled total and the windows'
+    entries of :func:`_population_terms`.  ``T(y) + T(Y-y)`` is gathered
+    from ``table``, the :func:`_xlogx_table` of ``total``, and evaluated by
+    logs when it is None; both give the same bits.  The value returned is
+    clamped at zero and gated to zero unless ``y N > Y n_c`` (inside rate
+    higher), and for the windows marked ``gated``; the gate is a multiply by
+    a boolean, not a branch per element.  :func:`scan`,
     :func:`llr_star_batch` and :func:`reference_pvalue` all evaluate through
     this function, so equal counts give bit-equal statistics.  The terms are
     of size ``Y log Y``, so the absolute rounding error grows with the total:
     about ``2 eps Y log Y`` against the rate-ratio form
     ``y log(r_in / r) + (Y-y) log(r_out / r)``.
 
-    ``tmp`` holds two float arrays, ``high`` one boolean and ``index`` one
-    intp array of ``out``'s shape, used as scratch.
+    ``out``, ``tmp``, ``high`` and ``index`` are the :func:`_scratch` of
+    ``y_c``'s shape.
     """
     n_c, logit, log_out, gated = terms
     if table is None:
         _xlogx(y_c, out)
-        np.subtract(y_g, y_c, out=tmp[0])
+        np.subtract(total, y_c, out=tmp[0])
         out += _xlogx(tmp[0], tmp[1])
     else:
         np.copyto(index, y_c, casting="unsafe")
         np.take(table, index, out=out, mode="clip")
-        if np.ndim(y_g):  # totals per row: T(y) and T(Y-y) are two gathers
-            np.subtract(y_g.astype(np.intp), index, out=index)
-            out += np.take(table, index, out=tmp[0], mode="clip")
     out -= np.multiply(y_c, logit, out=tmp[0])
-    out -= _xlogx(y_g, np.empty_like(y_g)) + y_g * log_out
-    # one total keeps Y n_c one column wide
-    rhs = np.multiply(y_g, n_c, out=tmp[1]) if np.ndim(y_g) else y_g * n_c
-    np.greater(np.multiply(y_c, n_g, out=tmp[0]), rhs, out=high)
+    out -= _xlogx(total, np.empty_like(total)) + total * log_out
+    np.greater(np.multiply(y_c, n_g, out=tmp[0]), total * n_c, out=high)
     high[gated] = False
     # clamp before the multiply, so that no -0.0 appears; fmax also maps the
     # NaN of 0 * log 0 (a share that underflows to 0) to 0, which False * NaN keeps
@@ -210,13 +213,11 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
     y = _as_counts(counts if counts is not None else sr.period_cases(period), sr.m)
     if not y.any():
         return ScanResult(0.0, None, 0, 0.0, ())
-    n_g, terms = _population_terms(sr.period_populations(period), windows)
-    n_c = terms[0]
-    y_c = windows.window_sums(y.astype(float))[:, 0]
-    y_g = float(y.sum())
-    out, *tmp = np.empty((3, len(y_c)))
-    llr = _llr_kernel(y_c, y_g, n_g, terms, _xlogx_table(y_g), out, tmp,
-                      np.empty(len(y_c), dtype=bool), np.empty(len(y_c), dtype=np.intp))
+    n_c, n_g, terms = _population_terms(sr.period_populations(period), windows)
+    y_c = _window_sums(y, windows)
+    total = float(y.sum())
+    llr = _llr_kernel(y_c, total, n_g, terms, _xlogx_table(total), *_scratch(y_c.shape))[:, 0]
+    y_c = y_c[:, 0]
 
     positive = np.flatnonzero(llr > 0)
     if len(positive):
@@ -264,8 +265,8 @@ def _window_counts(counts, windows: WindowSet):
     next regions of every centre's (distance, id) order, and the band's
     windows are picked from it.  Yields ``(rows, idx, y_c, scratch)``: the
     slice of the block's rows, the indices of the band's windows, their
-    float counts, and the kernel's scratch of that shape (three float
-    arrays, a boolean and an intp one).  No block holds more than
+    float counts, and the kernel's scratch of that shape in its argument
+    order (``out``, ``tmp``, ``high``, ``index``).  No block holds more than
     ``_STREAM_ELEMENTS`` values, so memory is O(m k).
     """
     take, extent, window, slot, start = windows.by_length
@@ -296,14 +297,23 @@ def _window_counts(counts, windows: WindowSet):
                      for a in (*buffers[1:], high, index)]
             y_c = np.take(y.reshape(-1, k), (depth[w] - j) * c + slot[w], axis=0,
                           out=views[0], mode="clip")
-            yield slice(s, s + k), window[w], y_c, views[1:]
+            yield slice(s, s + k), window[w], y_c, (views[1], views[2:4], *views[4:])
+
+
+def _window_sums(values, windows: WindowSet):
+    """Per-window sums of the rows of a (k, m) array, as a (windows, k) float array."""
+    sums = np.empty((len(windows), len(values)))
+    for rows, idx, y_c, _ in _window_counts(values, windows):
+        sums[idx, rows] = y_c
+    return sums
 
 
 def llr_star_batch(counts, populations, windows: WindowSet):
     """Max statistic for each row of a (k, m) count matrix.
 
-    The window counts are streamed by :func:`_window_counts` and evaluated by
-    the kernel that :func:`scan` uses; each row keeps its running maximum.  A
+    The rows of each distinct total (one group for a :func:`null_counts`
+    reference) are streamed by :func:`_window_counts` and evaluated by the
+    kernel that :func:`scan` uses; each row keeps its running maximum.  A
     Monte Carlo p-value needs only whether each maximum reaches the observed
     statistic, which :func:`reference_pvalue` answers without the kernel.
     """
@@ -311,18 +321,15 @@ def llr_star_batch(counts, populations, windows: WindowSet):
     best = np.zeros(len(counts))
     if len(windows) == 0 or len(counts) == 0:
         return best
-    n_g, terms = _population_terms(populations, windows)
-    terms = (*(a[:, None] for a in terms[:3]), terms[3])
-    y_g = counts.sum(axis=1).astype(float)  # whole numbers below 2**53 are exact
-    if (y_g == y_g[0]).all():
-        y_g = y_g[0]  # one total: the row terms stay one column wide
-    table = _xlogx_table(y_g)
-    for rows, idx, y_c, scratch in _window_counts(counts, windows):
-        llr = _llr_kernel(y_c, y_g[rows] if np.ndim(y_g) else y_g, n_g,
-                          [a[idx] for a in terms], table, scratch[0], scratch[1:3],
-                          *scratch[3:])
-        top = best[rows]
-        np.maximum(top, llr.max(axis=0, initial=0.0), out=top)
+    _, n_g, terms = _population_terms(populations, windows)
+    totals, group = np.unique(counts.sum(axis=1), return_inverse=True)
+    for g, total in enumerate(totals.astype(float)):  # whole numbers below 2**53 are exact
+        in_group = np.flatnonzero(group == g)
+        table, top = _xlogx_table(total), np.zeros(len(in_group))
+        for rows, idx, y_c, scratch in _window_counts(counts[in_group], windows):
+            llr = _llr_kernel(y_c, total, n_g, [a[idx] for a in terms], table, *scratch)
+            np.maximum(top[rows], llr.max(axis=0, initial=0.0), out=top[rows])
+        best[in_group] = top
     return best
 
 
@@ -343,33 +350,31 @@ def reference_pvalue(observed, counts, populations, windows: WindowSet):
     or -1.  A bisection finds ``below`` with the kernel on (windows x 1)
     candidates, so that ties compare the same bits as the maximum; the
     stream then compares counts where the maximum evaluates the kernel.
-    The kernel is not monotone where ``y N`` overflows (populations near
-    the float maximum), and there the two p-values can differ.
     """
     counts = _as_counts(counts, windows.m)
-    y_g = counts.sum(axis=1).astype(float)
-    if (y_g != y_g[:1]).any():
+    totals = np.unique(counts.sum(axis=1)).astype(float)
+    if len(totals) > 1:
         raise ValueError("reference rows must share one case total")
     if observed <= 0:
         return 1.0  # every maximum is at least 0
     hit = np.zeros(len(counts), dtype=bool)
     if len(windows) and len(counts):
-        total = y_g[0]
-        n_g, terms = _population_terms(populations, windows)
-        terms = (*(a[:, None] for a in terms[:3]), terms[3])
+        total = totals[0]
+        _, n_g, terms = _population_terms(populations, windows)
         table = _xlogx_table(total)
-        out, *tmp, y = np.empty((4, len(windows), 1))
-        high, index = np.empty(y.shape, dtype=bool), np.empty(y.shape, dtype=np.intp)
+        y = np.empty((len(windows), 1))
+        scratch = _scratch(y.shape)
         below = np.full(y.shape, -1.0)
         step = 1 << int(total + 1).bit_length() - 1
         while step:
             np.minimum(below + step, total, out=y)
-            f = _llr_kernel(y, total, n_g, terms, table, out, tmp, high, index)
+            f = _llr_kernel(y, total, n_g, terms, table, *scratch)
             # as in rank_pvalue, a NaN ``observed`` is reached by no value
             np.copyto(below, below + step, where=(below + step <= total) & ~(f >= observed))
             step >>= 1
         for rows, idx, y_c, scratch in _window_counts(counts, windows):
-            hit[rows] |= np.greater(y_c, below[idx], out=scratch[3]).any(axis=0)
+            # into the boolean scratch: an intp ``out`` slows the compare
+            hit[rows] |= np.greater(y_c, below[idx], out=scratch[2]).any(axis=0)
     return (1 + int(np.count_nonzero(hit))) / (len(hit) + 1)
 
 

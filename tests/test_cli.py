@@ -106,16 +106,18 @@ def test_bad_config_json_is_input_error(region_files, tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
-@pytest.mark.parametrize("m, count, message", [
-    (8, 0, "all counts are zero"),
-    (4, 5, "at least 5 regions"),
+@pytest.mark.parametrize("command, m, count, message", [
+    pytest.param("fit", 8, 0, "all counts are zero", id="8-0-all counts are zero"),
+    pytest.param("fit", 4, 5, "at least 5 regions", id="4-5-at least 5 regions"),
+    # no cases means no clusters, and the fit on all regions refuses first
+    pytest.param("adjusted-scan", 8, 0, "all counts are zero", id="adjusted-scan-all-zero"),
 ])
-def test_unfittable_data_is_an_input_error(tmp_path, capsys, m, count, message):
+def test_unfittable_data_is_an_input_error(tmp_path, capsys, command, m, count, message):
     ids = [f"r{i}" for i in range(m)]
     files = {"geo": "".join(f"{r} {i} {i % 3}\n" for i, r in enumerate(ids)),
              "pop": "".join(f"{r} 1000\n" for r in ids),
              "cas": "".join(f"{r} {count}\n" for r in ids)}
-    argv = ["fit"]
+    argv = [command]
     for key, text in files.items():
         (tmp_path / key).write_text(text)
         argv += [f"--{key}", str(tmp_path / key)]

@@ -158,7 +158,7 @@ def _model_from_density(grid, f, delta0, sigma0):
     from corrscan.fdr import FittedDensity
     edges = np.linspace(grid[0], grid[-1], len(grid) + 1)
     dens = FittedDensity(grid=grid, f=f, edges=edges, counts=np.zeros(len(grid)))
-    return FdrModel(z=grid, density=dens, delta0=delta0, sigma0=sigma0,
+    return FdrModel(density=dens, delta0=delta0, sigma0=sigma0,
                     fdr=np.empty(0))
 
 

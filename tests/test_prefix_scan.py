@@ -171,21 +171,23 @@ def test_streamed_maximum_matches_dense_and_scan(m, seed, frac, coincident, bloc
         assert value == scan(sr, ws, counts=row).llr_star
 
 
-def _kernel(counts, populations, ws, one_total):
-    """The kernel on every window of ``ws`` for a (k, m) block, as llr_star_batch calls it."""
-    y_g = counts.sum(axis=1).astype(float)
-    y_g = y_g[0] if one_total else y_g
-    return _kernel_at(ws.window_sums(counts.astype(float)), y_g, populations, ws)
+def _kernel(counts, populations, ws):
+    """The kernel on every window of ``ws`` for a (k, m) block, one row total
+    at a time as llr_star_batch calls it, as (windows, k)."""
+    y_c = scan_module._window_sums(counts, ws)
+    totals = counts.sum(axis=1)
+    out = np.empty_like(y_c)
+    for total in np.unique(totals):
+        out[:, totals == total] = _kernel_at(y_c[:, totals == total], float(total),
+                                             populations, ws)
+    return out
 
 
-def _kernel_at(y_c, y_g, populations, ws):
-    """The kernel at (windows x k) window counts ``y_c`` of rows with totals ``y_g``."""
-    n_g, (n_c, logit, log_out, gated) = scan_module._population_terms(populations, ws)
-    out, *tmp = np.empty((3, *y_c.shape))
-    return scan_module._llr_kernel(
-        y_c, y_g, n_g, (n_c[:, None], logit[:, None], log_out[:, None], gated),
-        scan_module._xlogx_table(y_g), out, tmp, np.empty(y_c.shape, dtype=bool),
-        np.empty(y_c.shape, dtype=np.intp))
+def _kernel_at(y_c, total, populations, ws):
+    """The kernel at (windows x k) window counts ``y_c`` of rows that share ``total``."""
+    _, n_g, terms = scan_module._population_terms(populations, ws)
+    return scan_module._llr_kernel(y_c, total, n_g, terms, scan_module._xlogx_table(total),
+                                   *scan_module._scratch(y_c.shape))
 
 
 @pytest.mark.parametrize("kind", ["one total", "unequal totals", "all-zero row"])
@@ -203,12 +205,12 @@ def test_table_and_log_paths_are_bit_equal(kind):
         counts = rng.integers(0, 40, (30, sr.m))
     if kind == "all-zero row":
         counts[3] = 0
-    assert scan_module._xlogx_table(counts.sum(axis=1)) is not None
-    table = _kernel(counts, n, ws, kind == "one total")
+    assert scan_module._xlogx_table(counts.sum(axis=1).max()) is not None
+    table = _kernel(counts, n, ws)
     batch = llr_star_batch(counts, n, ws)
     with mock.patch.object(scan_module, "_STREAM_ELEMENTS", 0):
-        assert scan_module._xlogx_table(counts.sum(axis=1)) is None
-        logs = _kernel(counts, n, ws, kind == "one total")
+        assert scan_module._xlogx_table(counts.sum(axis=1).min()) is None
+        logs = _kernel(counts, n, ws)
         assert np.array_equal(llr_star_batch(counts, n, ws), batch)
     assert np.array_equal(table, logs)
     assert not np.signbit(table).any() and not np.signbit(batch).any()
@@ -230,7 +232,8 @@ def test_total_at_the_table_bound_takes_the_log_path():
     total = scan_module._STREAM_ELEMENTS
     p = n * np.r_[np.full(3, 1.5), np.ones(sr.m - 3)]  # a raised rate in regions 0-2
     big = rng.multinomial(total, p / p.sum())
-    assert scan_module._xlogx_table(np.array([total - 1, total])) is None
+    assert scan_module._xlogx_table(total) is None
+    assert scan_module._xlogx_table(total - 1) is not None
     small = _null_batch(rng, sr, 5)
     star = llr_star_batch(np.vstack([big, small]), n, ws)
     res = scan(sr, ws, counts=big)
@@ -243,9 +246,9 @@ def test_total_at_the_table_bound_takes_the_log_path():
 
 
 def test_unequal_totals_with_a_block_of_one_row():
-    # rows of unequal totals on the k log k table, with blocks of 10 rows at
-    # m = 4: the last block holds one row, which still takes T(Y - y) from
-    # its own total
+    # rows of unequal totals on the k log k table, grouped by total and
+    # streamed in blocks of 10 rows at m = 4: each row still takes T(Y - y)
+    # from its own total
     rng = np.random.default_rng(11)
     sr = random_region(rng, 4)
     ws = enumerate_windows(sr, distance_matrix(sr), 1.0)
@@ -254,7 +257,7 @@ def test_unequal_totals_with_a_block_of_one_row():
     assert len(set(counts.sum(axis=1))) > 1 and counts.sum(axis=1).max() < 40
     assert ws.by_length[1][0] == 4  # four centres: 40 // 4 rows per block
     with mock.patch.object(scan_module, "_STREAM_ELEMENTS", 40):
-        assert scan_module._xlogx_table(counts.sum(axis=1)) is not None
+        assert scan_module._xlogx_table(counts.sum(axis=1).max()) is not None
         star = llr_star_batch(counts, n, ws)
     assert np.array_equal(star, [scan(sr, ws, counts=row).llr_star for row in counts])
     dense = dense_window_llr(counts, n, [w.members for w in ws])[0].max(axis=1)
@@ -301,11 +304,9 @@ UNDERFLOW = dict(ids=("A", "B", "C", "D"), centroids=[[0, 0], [1, 0], [5, 0], [6
     ("random", (7, 331, 4099)),
     ("random", (1 << 16, 100_003)),
     ("underflow", (1, 8, 500)),
-    # y N overflows to inf once N is near the float maximum, which gates
-    # windows with a raised rate to 0 (the FOUND line on _llr_kernel's gate
-    # products in CHANGES.md)
-    pytest.param("underflow", (1 << 16,), marks=pytest.mark.xfail(
-        strict=True, reason="the gate products y N and Y n_c overflow")),
+    # N near the float maximum: the gate products y N and Y n_c stay finite
+    # because N and n_c enter the gate scaled to N in [1/2, 1)
+    ("underflow", (1 << 16,)),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernel_never_falls_as_the_window_count_rises(geometry, totals):
@@ -365,6 +366,45 @@ def test_reference_pvalue_on_a_share_that_underflows():
     star = llr_star_batch(ref, n, ws)
     for s in (*star, 1.0, 746.0, 747.0):
         assert reference_pvalue(s, ref, n, ws) == rank_pvalue(s, star)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gate_products_do_not_overflow_near_the_float_maximum():
+    # y N and Y n_c overflow to inf at N = 2e305 and Y = 3100 unscaled, and
+    # inf > inf would gate the raised windows to 0; every entry point gives
+    # the brute-force oracle's value instead
+    sr = StudyRegion(**UNDERFLOW, cases=[[0, 0, 3000, 100]])
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    n = sr.populations[0]
+    want, members = brute_force_scan(sr)
+    assert want == pytest.approx(1706.99, abs=0.01)
+    res = scan(sr, ws)
+    star = llr_star_batch(sr.cases, n, ws)
+    assert star[0] == res.llr_star == pytest.approx(want, rel=1e-12)
+    assert res.primary.members == members
+    # one reference row, the observed one: (1 + 1) / 2 at or below it, 1 / 2 above
+    assert reference_pvalue(want * (1 - 1e-9), sr.cases, n, ws) == 1.0
+    assert reference_pvalue(want * (1 + 1e-9), sr.cases, n, ws) == 1 / 2
+
+
+def test_kernel_always_gets_one_scalar_total(small_region):
+    # one kernel form: every caller passes one case total, mixed-total
+    # batches included (they are grouped by total)
+    ws = enumerate_windows(small_region, distance_matrix(small_region), 0.5)
+    n = small_region.populations[0]
+    kernel, totals = scan_module._llr_kernel, []
+
+    def guarded(y_c, total, *args):
+        assert np.ndim(total) == 0
+        totals.append(total)
+        return kernel(y_c, total, *args)
+
+    with mock.patch.object(scan_module, "_llr_kernel", guarded):
+        obs = scan(small_region, ws).llr_star
+        scan_module.mc_pvalue(obs, small_region, ws, M=19, seed=1)
+        reference_pvalue(obs, np.tile(small_region.cases[0], (5, 1)), n, ws)
+        llr_star_batch([[1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 1], [6, 5, 4, 3, 2, 1]], n, ws)
+    assert {1.0, 21.0} <= set(totals)
 
 
 def test_reference_pvalue_needs_one_total(small_region):
