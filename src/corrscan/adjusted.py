@@ -14,7 +14,7 @@ import numpy as np
 from .matern import MaternParams, CovFactor, cholesky, matern_cov, simulate_grf
 from .mcmc import McmcConfig, PriorSpec, TooFewRegionsError, fit_model2, posterior_means
 from .region import InputError, StudyRegion, WindowSet, _check_real, _check_whole
-from .scan import llr_star_batch, mc_pvalue, null_counts, rank_pvalue, reference_pvalue, scan
+from .scan import llr_star_batch, null_counts, rank_pvalue, reference_pvalue, scan
 
 __all__ = [
     "AdjustedScanConfig",
@@ -87,24 +87,24 @@ class AdjustedScanResult:
         }
 
 
-def _clusters_of(result):
-    """Primary plus secondaries as (cluster, llr) pairs, highest llr first."""
+def _assessed(result, reference):
+    """The primary and secondaries of ``result``, in that order, as
+    (cluster, llr, rank p-value against ``reference``)."""
     if result.primary is None:
-        return []
-    out = [(result.primary, result.llr_star)]
-    out.extend((c, llr) for c, llr, _, _ in result.secondaries)
-    return out
+        return ()
+    clusters = [(result.primary, result.llr_star)]
+    clusters.extend((c, llr) for c, llr, _, _ in result.secondaries)
+    return tuple((c, llr, rank_pvalue(llr, reference)) for c, llr in clusters)
 
 
-def _screen(clusters, reference, alpha=ALPHA_SCREEN):
-    """Member tuples of the clusters whose rank p-value against ``reference``
-    is at most ``alpha``."""
-    return {c.members for c, llr in clusters if rank_pvalue(llr, reference) <= alpha}
+def _screen(assessed, alpha=ALPHA_SCREEN):
+    """Member tuples of the ``assessed`` clusters whose p-value is at most ``alpha``."""
+    return {c.members for c, _, p in assessed if p <= alpha}
 
 
-def _screened_fit(screened, y, n, dm, prior, mcmc, seed):
-    """Fit the mixed model to the regions outside the ``screened`` clusters,
-    as (excluded regions, fit).  The fit needs at least 5 regions left."""
+def _screened_fit(screened, y, n, dm, prior, mcmc, rng):
+    """Fit the mixed model, seeded from ``rng``, to the regions outside the
+    ``screened`` clusters, as (excluded regions, fit); at least 5 regions must be left."""
     excluded = sorted({i for members in screened for i in members})
     kept = [i for i in range(len(y)) if i not in excluded]
     if len(kept) < 5:
@@ -112,7 +112,8 @@ def _screened_fit(screened, y, n, dm, prior, mcmc, seed):
             "fewer than 5 regions left outside detected clusters; use a larger "
             "study region or a stricter screening level"
         )
-    fit = fit_model2(y[kept], n[kept], dm[np.ix_(kept, kept)], prior, config=mcmc, seed=seed)
+    fit = fit_model2(y[kept], n[kept], dm[np.ix_(kept, kept)], prior, config=mcmc,
+                     seed=rng.integers(2**63))
     return excluded, fit
 
 
@@ -139,23 +140,18 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
     # one classical reference sample gives the classical p-value and the
     # initial screen: the clusters whose llr reaches its screening quantile
     ref0 = llr_star_batch(null_counts(rng, y.sum(), n, config.M), n, windows)
-    classical_p = rank_pvalue(observed.llr_star, ref0)
-    classical = observed.with_pvalue(classical_p, config.M)
-
-    clusters = _clusters_of(observed)
-    significant = _screen(clusters, ref0, config.alpha_screen)
+    classical = observed.with_pvalue(rank_pvalue(observed.llr_star, ref0), config.M)
+    significant = _screen(_assessed(observed, ref0), config.alpha_screen)
 
     iterations = []
     converged = False
     dm = np.asarray(dm)
     for _ in range(config.max_iter):
-        excluded, fit = _screened_fit(significant, y, n, dm, config.prior, config.mcmc,
-                                      rng.integers(2**63))
+        excluded, fit = _screened_fit(significant, y, n, dm, config.prior, config.mcmc, rng)
         summary = _fit_summary(fit)
         factor = _field_factor(dm, summary["sigma"], summary["rho_grid"])
         reference = llr_star_batch(null_counts(rng, y.sum(), n, config.M, factor), n, windows)
-        adjusted = tuple((c, llr, rank_pvalue(llr, reference)) for c, llr in clusters)
-        new_significant = _screen(clusters, reference, config.alpha_screen)
+        assessed = _assessed(observed, reference)
         iterations.append({
             "excluded_regions": excluded,
             "fit": summary,
@@ -166,19 +162,19 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
             },
             "clusters": [
                 {"members": list(c.members), "llr": llr, "adjusted_p": p}
-                for c, llr, p in adjusted
+                for c, llr, p in assessed
             ],
         })
-        final = adjusted
-        if new_significant == significant:
-            converged = True
+        screened = _screen(assessed, config.alpha_screen)
+        converged = screened == significant
+        if converged:
             break
-        significant = new_significant
+        significant = screened
     return AdjustedScanResult(
         iterations=tuple(iterations),
         converged=converged,
         classical=classical,
-        final_clusters=final,
+        final_clusters=assessed,
     )
 
 
@@ -205,15 +201,15 @@ def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_peri
     for period in test_periods:
         observed = scan(sr, windows, period)
         n = sr.period_populations(period)
-        classical_p = mc_pvalue(observed.llr_star, sr, windows, M=config.M,
-                                seed=rng_classical, period=period)
+        total = sr.total_cases(period)
+        classical_ref = null_counts(rng_classical, total, n, config.M)
+        adjusted_ref = null_counts(rng_adjusted, total, n, config.M, factor)
         # a period without cases scores 0, and so gets p = 1
-        reference = null_counts(rng_adjusted, sr.total_cases(period), n, config.M, factor)
         results.append({
             "period": period,
             "llr_star": observed.llr_star,
-            "classical_p": classical_p,
-            "adjusted_p": reference_pvalue(observed.llr_star, reference, n, windows),
+            "classical_p": reference_pvalue(observed.llr_star, classical_ref, n, windows),
+            "adjusted_p": reference_pvalue(observed.llr_star, adjusted_ref, n, windows),
             "primary_members": list(observed.primary.members) if observed.primary else [],
         })
     return {

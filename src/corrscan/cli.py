@@ -165,9 +165,12 @@ def _experiment_config(args, cfg, mode):
 
 
 def _study(args, cfg, mode, study):
+    files = [f for f in (args.geo, args.pop, args.cas) if f is not None]
+    if len(files) not in (0, 3):
+        raise InputError("--geo, --pop and --cas are given together or not at all")
     ecfg = _experiment_config(args, cfg, mode)
-    if args.geo:
-        sr = load_study_region(args.geo, args.pop, args.cas)
+    if files:
+        sr = load_study_region(*files)
     else:
         sr = synth_geometry(args.m, seed=args.seed or 0)
     table = study(sr, ecfg)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .adjusted import (
     AdjustedScanConfig,
-    _clusters_of,
+    _assessed,
     _field_factor,
     _screen,
     _screened_fit,
@@ -204,21 +204,22 @@ def _false_alarm_study(sr: StudyRegion, cfg: ExperimentConfig) -> ProportionTabl
                 if counts.sum() == 0:
                     dropped_by[ZeroCountsError.__name__] += 1
                     continue
-                obs = llr_star_batch(counts[None, :], n, windows)[0]
+                observed = scan(sr, windows, sr.periods[0], counts)
                 try:
                     ref = _replicate_reference(
-                        sr, windows, dm, n, counts, cfg, prior, factor,
+                        observed, windows, dm, n, counts, cfg, prior, factor,
                         np.random.default_rng(ref_ss), np.random.default_rng(fit_ss))
                 except DROP_CAUSES as exc:
                     dropped_by[type(exc).__name__] += 1
                     continue
-                pvals.append(reference_pvalue(obs, ref, n, windows))
+                pvals.append(reference_pvalue(observed.llr_star, ref, n, windows))
             table.add_setting(sigma, rho, cfg.mode, pvals, ALPHAS, dropped_by)
     return table
 
 
-def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, rng, rng_fit):
-    """One replicate's reference counts, (mc_size, m) rows of its total.
+def _replicate_reference(observed, windows, dm, n, counts, cfg, prior, factor, rng, rng_fit):
+    """One replicate's reference counts, (mc_size, m) rows of its total;
+    ``observed`` is the :func:`scan` of its ``counts``.
 
     ``rng`` drives the reference draws (shared across modes); ``rng_fit``
     drives mode-specific estimation steps so it does not desynchronize the
@@ -238,9 +239,8 @@ def _replicate_reference(sr, windows, dm, n, counts, cfg, prior, factor, rng, rn
         # that uncertainty and make this mode indistinguishable from
         # adjusted_true_params.
         screen = llr_star_batch(null_counts(rng_fit, total, n, cfg.mc_size), n, windows)
-        clusters = _clusters_of(scan(sr, windows, counts=counts))
-        _, fit = _screened_fit(_screen(clusters, screen), counts, n, dm, prior, cfg.mcmc,
-                               rng_fit.integers(2**63))
+        _, fit = _screened_fit(_screen(_assessed(observed, screen)), counts, n, dm, prior,
+                               cfg.mcmc, rng_fit)
         j = int(rng_fit.integers(len(fit.sigma)))
         factor = _field_factor(dm, float(fit.sigma[j]), float(fit.rho[j]))
     return null_counts(rng, total, n, cfg.mc_size, factor)

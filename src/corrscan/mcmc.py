@@ -131,14 +131,6 @@ class ModelIIFit:
         return len(self.beta)
 
     @property
-    def posterior_mean(self):
-        return (
-            float(self.beta.mean()),
-            float(self.sigma.mean()),
-            float(self.rho.mean()),
-        )
-
-    @property
     def rho_boundary_fraction(self):
         """Fraction of rho draws in the top 5% of the grid (upper-bound diagnostic)."""
         cutoff = self.prior.rho_upper - max(1, int(math.ceil(0.05 * self.prior.rho_upper))) + 1
@@ -422,6 +414,6 @@ def posterior_means(fit: ModelIIFit):
     """(beta_hat, sigma_hat, rho_hat); rho_hat also snapped to the grid."""
     if fit.n_draws < 1:
         raise ValueError("no retained draws")
-    b, s, r = fit.posterior_mean
+    b, s, r = (float(draws.mean()) for draws in (fit.beta, fit.sigma, fit.rho))
     r_grid = float(np.clip(round(r), 1, fit.prior.rho_upper))
     return b, s, r, r_grid

@@ -206,12 +206,11 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
     data on the same geometry).  Ties on the statistic go to the smaller
     window, then to the lexicographically smaller sorted member list;
     secondaries are taken greedily in that order, disjoint from every
-    window already reported.
+    window already reported.  Without windows or cases the statistic is 0,
+    as :func:`llr_star_batch` has it, and there is no primary.
     """
-    if len(windows) == 0:
-        raise ValueError("no candidate windows")
     y = _as_counts(counts if counts is not None else sr.period_cases(period), sr.m)
-    if not y.any():
+    if len(windows) == 0 or not y.any():
         return ScanResult(0.0, None, 0, 0.0, ())
     n_c, n_g, terms = _population_terms(sr.period_populations(period), windows)
     y_c = _window_sums(y, windows)

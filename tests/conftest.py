@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from corrscan import StudyRegion, distance_matrix
+from corrscan import (MaternParams, StudyRegion, cholesky, distance_matrix, matern_cov,
+                      simulate_model2_counts, synth_geometry)
 
 
 @pytest.fixture
@@ -36,6 +37,20 @@ def random_region(rng, m, n_periods=1, max_pop=500):
         populations=rng.uniform(10, max_pop, (n_periods, m)),
         cases=rng.integers(0, 30, (n_periods, m)),
     )
+
+
+def two_iteration_region():
+    """m = 30 counts drawn under a strong field (sigma 0.6, rho 20), as
+    (region, distance matrix).  ``adjusted_scan`` with ``PriorSpec(20)``,
+    M = 199, a 1,200-iteration chain and seeds 1-3 screens a different set of
+    clusters after its first fit, and so takes a second iteration."""
+    sr = synth_geometry(30, seed=41)
+    n = sr.populations[0]
+    dm = distance_matrix(sr)
+    factor = cholesky(matern_cov(dm, MaternParams(0.6, 20.0)))
+    counts = simulate_model2_counts(n, math.log(1500 / n.sum()), factor, seed=71)
+    return StudyRegion(ids=sr.ids, centroids=sr.centroids, periods=sr.periods,
+                       populations=sr.populations, cases=counts[None, :]), dm
 
 
 def brute_force_distance(centroids):

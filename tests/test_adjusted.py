@@ -1,6 +1,7 @@
 """Adjusted scan: mixed-model count simulation, the fitted-field reference,
 iterative cluster re-assessment, train/test surveillance scans."""
 
+import dataclasses
 import importlib
 import math
 
@@ -23,6 +24,8 @@ from corrscan import (
 from corrscan.harness import synth_geometry
 from corrscan.mcmc import McmcConfig
 from corrscan.scan import llr_star_batch, null_counts
+
+from conftest import two_iteration_region
 
 FAST = McmcConfig(n_iter=1200, burn_in=400, thin=2)
 
@@ -172,6 +175,43 @@ def test_adjusted_scan_draws_one_classical_reference(monkeypatch):
     res = adjusted_scan(sr, ws, dm, cfg)
     assert res.classical.primary is not None  # so the screen ran
     assert draws == [199]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_adjusted_scan_assesses_each_cluster_once_per_reference(seed, monkeypatch):
+    adjusted = importlib.import_module("corrscan.adjusted")
+    original = adjusted.rank_pvalue
+    calls = []
+
+    def counting(observed, reference):
+        calls.append(observed)
+        return original(observed, reference)
+
+    monkeypatch.setattr(adjusted, "rank_pvalue", counting)
+    sr, dm = two_iteration_region()
+    ws = enumerate_windows(sr, dm, 0.5)
+    cfg = AdjustedScanConfig(prior=PriorSpec(20), M=199, mcmc=FAST, seed=seed)
+    res = adjusted_scan(sr, ws, dm, cfg)
+    assert res.converged and len(res.iterations) == 2
+    assert res.iterations[0]["excluded_regions"] != res.iterations[1]["excluded_regions"]
+    clusters = len(res.final_clusters)
+    assert clusters >= 1
+    # the classical p-value, then every cluster once against the classical
+    # reference and once against each iteration's reference
+    assert len(calls) == 1 + clusters * (len(res.iterations) + 1)
+
+
+def test_adjusted_scan_stops_unconverged_at_max_iter():
+    sr, dm = two_iteration_region()
+    ws = enumerate_windows(sr, dm, 0.5)
+    cfg = AdjustedScanConfig(prior=PriorSpec(20), M=199, mcmc=FAST, seed=1)
+    full = adjusted_scan(sr, ws, dm, cfg)
+    res = adjusted_scan(sr, ws, dm, dataclasses.replace(cfg, max_iter=1))
+    assert not res.converged
+    assert res.iterations == full.iterations[:1]
+    final = [{"members": list(c.members), "llr": llr, "adjusted_p": p}
+             for c, llr, p in res.final_clusters]
+    assert final == res.iterations[-1]["clusters"]
 
 
 def test_adjusted_scan_too_few_clean_regions():

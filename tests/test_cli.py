@@ -15,6 +15,8 @@ import pytest
 from corrscan import load_study_region, synth_geometry
 from corrscan.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_WARN, build_parser, main
 
+from conftest import two_iteration_region
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -184,6 +186,23 @@ def test_surveil_strict_exits_4_on_fit_warnings(tmp_path):
     assert warnings
     assert main([*argv, "--strict"]) == EXIT_WARN
     assert json.loads(report.read_text())["fit"]["warnings"] == warnings
+
+
+def test_adjusted_scan_strict_exits_4_unconverged(tmp_path):
+    sr, _ = two_iteration_region()
+    geo, pop, cas = (tmp_path / name for name in ("geo.txt", "pop.txt", "cas.txt"))
+    geo.write_text("".join(f"{i} {x!r} {y!r}\n"
+                           for i, (x, y) in zip(sr.ids, sr.centroids.tolist())))
+    pop.write_text("".join(f"{i} {v!r}\n" for i, v in zip(sr.ids, sr.populations[0].tolist())))
+    cas.write_text("".join(f"{i} {c}\n" for i, c in zip(sr.ids, sr.cases[0])))
+    report = tmp_path / "adjusted.json"
+    argv = ["--seed", "1", "--set", "mcmc.n_iter=1200", "--set", "mcmc.burn_in=400",
+            "--set", "mcmc.thin=2", "--set", "max_iter=1", "adjusted-scan",
+            "--geo", str(geo), "--pop", str(pop), "--cas", str(cas),
+            "--rho-upper", "20", "--mc-size", "199", "--out", str(report)]
+    assert main(argv) == EXIT_OK
+    assert json.loads(report.read_text())["converged"] is False
+    assert main([*argv, "--strict"]) == EXIT_WARN
 
 
 @pytest.mark.parametrize("periods, message", [
@@ -491,6 +510,10 @@ def test_overflowing_population_total_is_an_input_error(region_files, tmp_path, 
     pytest.param(["--set", "mcmc.n_iter=99999999999999999999", "adjusted-study", "--m", "8",
                   "--replicates", "2", "--mc-size", "99"],
                  "n_iter must be a whole number below 2**63", id="study-n_iter=1e20"),
+    pytest.param(["type1-study", "--geo", "g.txt"], "--geo, --pop and --cas are given together",
+                 id="study-geo-only"),
+    pytest.param(["adjusted-study", "--pop", "g.txt.pop", "--cas", "g.txt.cas"],
+                 "--geo, --pop and --cas are given together", id="study-no-geo"),
     pytest.param(["synth-geo", "--m", "4", "--cases", "99999999999999999999", "--out", "g.txt"],
                  "cases must be a whole number below 2**63", id="cases=1e20"),
     pytest.param(["synth-geo", "--m", "4", "--cases", "9000000000000000000",

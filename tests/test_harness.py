@@ -156,6 +156,28 @@ def test_sigma_zero_reduces_adjusted_to_conditional_reference():
     assert c.pvalues[(0.0, 0.0, "classical")] == t.pvalues[(0.0, 0.0, "adjusted_true_params")]
 
 
+@pytest.mark.parametrize("mode", ["classical", "adjusted_true_params", "adjusted_fitted"])
+def test_multi_period_study_runs_on_its_first_period(mode):
+    # a study draws its own counts on the first period's populations, so a
+    # multi-period file gives the p-values of its one-period twin
+    study = type1_study if mode == "classical" else adjusted_study
+    cfg = _cfg(mode=mode, replicates=3, beta=-5.0, rho_upper=10)
+    one = study(synth_geometry(16, seed=6), cfg)
+    three = study(synth_geometry(16, seed=6, periods=3, cases=300), cfg)
+    assert one.pvalues[(0.1, 20.0, mode)]
+    assert three.pvalues == one.pvalues
+
+
+def test_one_region_study_has_no_windows_to_scan():
+    # no window holds at most half the population: every statistic is 0, so
+    # a classical replicate scores p = 1 and a fitted one has too few regions
+    sr = synth_geometry(1, seed=0)
+    classical = type1_study(sr, _cfg(replicates=3)).pvalues[(0.1, 20.0, "classical")]
+    assert classical == [1.0] * 3
+    row = adjusted_study(sr, _cfg(mode="adjusted_fitted", replicates=3)).rows[0]
+    assert row["dropped_by"] == {"TooFewRegionsError": 3}
+
+
 def test_fitted_replicate_with_too_few_clean_regions_is_dropped():
     # on 5 regions any screened cluster leaves fewer than 5 to fit: such a
     # replicate is dropped, the rule adjusted_scan applies, not fit on all regions
