@@ -8,7 +8,7 @@ from .region import (
     enumerate_windows,
     load_study_region,
 )
-from .scan import ScanResult, mc_pvalue, scan
+from .scan import ScanResult, scan
 from .matern import CovFactor, MaternParams, cholesky, matern_cov, simulate_grf
 from .mcmc import McmcConfig, ModelIIFit, PriorSpec, fit_model2, posterior_means
 from .adjusted import (

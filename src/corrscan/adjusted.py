@@ -117,21 +117,26 @@ def _screened_fit(screened, y, n, dm, prior, mcmc, rng):
     return excluded, fit
 
 
-def _fit_summary(fit):
-    """The posterior means, ESS and warnings of ``fit`` that a JSON result reports."""
-    beta, sigma, rho, rho_grid = posterior_means(fit)
-    return {"beta": beta, "sigma": sigma, "rho": rho, "rho_grid": rho_grid,
-            "ess": fit.ess, "warnings": list(fit.warnings)}
-
-
 def _field_factor(dm, sigma, rho):
     """Covariance factor of the Matérn field at (sigma, rho), sigma floored at 1e-8."""
     return cholesky(matern_cov(dm, MaternParams(sigma=max(sigma, 1e-8), rho=rho)))
 
 
+def _fitted_field(fit, dm):
+    """The covariance factor of the reference field of ``fit``, with sigma at its
+    posterior mean and rho at its posterior mean snapped to the grid, and the
+    posterior means, ESS and warnings that a JSON result reports."""
+    beta, sigma, rho, rho_grid = posterior_means(fit)
+    return _field_factor(dm, sigma, rho_grid), {
+        "beta": beta, "sigma": sigma, "rho": rho, "rho_grid": rho_grid,
+        "ess": fit.ess, "warnings": list(fit.warnings)}
+
+
 def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanConfig,
                   period=None) -> AdjustedScanResult:
     """Run the full adjusted procedure on one period of data."""
+    if sr.m < 5:
+        raise TooFewRegionsError(f"a mixed-model fit needs 5 regions; the study region has {sr.m}")
     rng = np.random.default_rng(config.seed)
     y = sr.period_cases(period)
     n = sr.period_populations(period)
@@ -148,8 +153,7 @@ def adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, config: AdjustedScanC
     dm = np.asarray(dm)
     for _ in range(config.max_iter):
         excluded, fit = _screened_fit(significant, y, n, dm, config.prior, config.mcmc, rng)
-        summary = _fit_summary(fit)
-        factor = _field_factor(dm, summary["sigma"], summary["rho_grid"])
+        factor, summary = _fitted_field(fit, dm)
         reference = llr_star_batch(null_counts(rng, y.sum(), n, config.M, factor), n, windows)
         assessed = _assessed(observed, reference)
         iterations.append({
@@ -191,8 +195,7 @@ def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_peri
     n_train = sr.period_populations(train_period)
     fit = fit_model2(y_train, n_train, dm, config.prior, config=config.mcmc,
                      seed=rng.integers(2**63))
-    summary = _fit_summary(fit)
-    factor = _field_factor(dm, summary["sigma"], summary["rho_grid"])
+    factor, summary = _fitted_field(fit, dm)
     # one stream per reference, so that neither p-value depends on the other's draws
     rng_classical, rng_adjusted = (np.random.default_rng(s) for s in
                                    np.random.SeedSequence(rng.integers(2**63)).spawn(2))

@@ -29,9 +29,9 @@ from .harness import (
 )
 from .matern import NotPositiveDefiniteError
 from .mcmc import ChainDivergenceError, McmcConfig, PriorSpec, fit_model2
-from .region import (InputError, _parse_lines, distance_matrix, enumerate_windows,
-                     load_study_region)
-from .scan import mc_pvalue, scan
+from .region import (InputError, _check_whole, _parse_lines, distance_matrix,
+                     enumerate_windows, load_study_region)
+from .scan import null_counts, reference_pvalue, scan
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -99,8 +99,11 @@ def cmd_scan(args, cfg):
     dm = distance_matrix(sr)
     windows = enumerate_windows(sr, dm, *_given(cfg, "max_window_fraction").values())
     result = scan(sr, windows, args.period)
-    p = mc_pvalue(result.llr_star, sr, windows, M=args.mc_size, seed=args.seed,
-                  period=args.period)
+    _check_whole("M", args.mc_size, 1)
+    n = sr.period_populations(args.period)
+    counts = null_counts(np.random.default_rng(args.seed), sr.total_cases(args.period), n,
+                         args.mc_size)
+    p = reference_pvalue(result.llr_star, counts, n, windows)
     _emit(result.with_pvalue(p, args.mc_size).to_dict(sr), args.out)
     return EXIT_OK
 
@@ -168,11 +171,13 @@ def _study(args, cfg, mode, study):
     files = [f for f in (args.geo, args.pop, args.cas) if f is not None]
     if len(files) not in (0, 3):
         raise InputError("--geo, --pop and --cas are given together or not at all")
+    if files and args.m is not None:
+        raise InputError("--m sizes the synthetic geometry; it is not given with --geo")
     ecfg = _experiment_config(args, cfg, mode)
     if files:
         sr = load_study_region(*files)
     else:
-        sr = synth_geometry(args.m, seed=args.seed or 0)
+        sr = synth_geometry(32 if args.m is None else args.m, seed=args.seed or 0)
     table = study(sr, ecfg)
     manifest = {"config": json.loads(json.dumps(ecfg.__dict__, default=str)),
                 "rows": table.rows,
@@ -331,7 +336,7 @@ def build_parser():
         p.add_argument("--geo")
         p.add_argument("--pop")
         p.add_argument("--cas")
-        p.add_argument("--m", type=int, default=32)
+        p.add_argument("--m", type=int, help="regions of the synthetic geometry (default 32)")
         p.add_argument("--beta", type=float, default=-7.0)
         p.add_argument("--sigma", type=float, default=0.1)
         p.add_argument("--rho", type=float, default=50.0)

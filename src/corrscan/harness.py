@@ -17,6 +17,7 @@ from .adjusted import (
     AdjustedScanConfig,
     _assessed,
     _field_factor,
+    _fitted_field,
     _screen,
     _screened_fit,
     simulate_model2_counts,
@@ -228,21 +229,12 @@ def _replicate_reference(observed, windows, dm, n, counts, cfg, prior, factor, r
     if cfg.mode == "classical":
         factor = None
     elif cfg.mode == "adjusted_fitted":
-        # screen out classically significant clusters first (otherwise
-        # apparent clusters inflate the fitted field variance and the
-        # adjustment overshoots), fit the mixed model to the rest, then plug
-        # in a single posterior draw of (sigma, rho).  A draw, not the
-        # posterior mean: the study measures how the adjustment behaves when
-        # parameters carry estimation uncertainty, and a fixed-but-uncertain
-        # parameter per replicate is what an analyst's point estimate looks
-        # like from the outside.  Averaging the posterior first would hide
-        # that uncertainty and make this mode indistinguishable from
-        # adjusted_true_params.
+        # screen once, so that clusters do not inflate the fitted field, then
+        # plug in the reference field that adjusted_scan and surveil use
         screen = llr_star_batch(null_counts(rng_fit, total, n, cfg.mc_size), n, windows)
         _, fit = _screened_fit(_screen(_assessed(observed, screen)), counts, n, dm, prior,
                                cfg.mcmc, rng_fit)
-        j = int(rng_fit.integers(len(fit.sigma)))
-        factor = _field_factor(dm, float(fit.sigma[j]), float(fit.rho[j]))
+        factor, _ = _fitted_field(fit, dm)
     return null_counts(rng, total, n, cfg.mc_size, factor)
 
 

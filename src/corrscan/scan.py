@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matern import simulate_grf
-from .region import CandidateCluster, InputError, StudyRegion, WindowSet, _check_whole
+from .region import CandidateCluster, InputError, StudyRegion, WindowSet
 
 __all__ = [
     "ScanResult",
@@ -24,7 +24,6 @@ __all__ = [
     "llr_star_batch",
     "rank_pvalue",
     "reference_pvalue",
-    "mc_pvalue",
 ]
 
 
@@ -245,8 +244,8 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
 def null_counts(rng, total, populations, size, factor=None):
     """(size, m) rows of ``total`` cases: Multinomial(total, n / N) with
     ``factor`` None (the classical null), else Multinomial(total,
-    softmax(log n + z)) with z = L eps drawn per row, the mixed model given
-    the total and z.  z comes from its prior, not from z | Y."""
+    softmax(log n + z)) with z = L eps drawn per row from its prior, which
+    under a flat prior on the intercept is z | total: an exact mixed-model draw."""
     n = np.asarray(populations, dtype=float)
     if factor is None:
         return rng.multinomial(total, n / n.sum(), size)
@@ -375,13 +374,3 @@ def reference_pvalue(observed, counts, populations, windows: WindowSet):
             # into the boolean scratch: an intp ``out`` slows the compare
             hit[rows] |= np.greater(y_c, below[idx], out=scratch[2]).any(axis=0)
     return (1 + int(np.count_nonzero(hit))) / (len(hit) + 1)
-
-
-def mc_pvalue(observed_llr, sr: StudyRegion, windows: WindowSet, M=999,
-              seed=None, period=None):
-    """Rank-based Monte Carlo p-value r/(M+1) against the classical null of
-    :func:`null_counts` for ``period``, by :func:`reference_pvalue`."""
-    _check_whole("M", M, 1)
-    n = sr.period_populations(period)
-    counts = null_counts(np.random.default_rng(seed), sr.total_cases(period), n, M)
-    return reference_pvalue(observed_llr, counts, n, windows)

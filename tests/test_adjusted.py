@@ -22,7 +22,7 @@ from corrscan import (
     train_test_adjusted_scan,
 )
 from corrscan.harness import synth_geometry
-from corrscan.mcmc import McmcConfig
+from corrscan.mcmc import McmcConfig, TooFewRegionsError
 from corrscan.scan import llr_star_batch, null_counts
 
 from conftest import two_iteration_region
@@ -226,6 +226,22 @@ def test_adjusted_scan_too_few_clean_regions():
     cfg = AdjustedScanConfig(prior=PriorSpec(10), M=199, mcmc=FAST, seed=41)
     with pytest.raises(ValueError, match="fewer than 5"):
         adjusted_scan(sr, ws, dm, cfg)
+
+
+def test_adjusted_scan_refuses_a_region_too_small_to_fit(monkeypatch):
+    # 4 regions can never be fit: refused before any reference is drawn, and
+    # not blamed on clusters that were never screened
+    adjusted = importlib.import_module("corrscan.adjusted")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a reference was drawn")
+
+    monkeypatch.setattr(adjusted, "null_counts", no_draw)
+    sr = _null_region(m=4, seed=40, cases=20)
+    dm = distance_matrix(sr)
+    cfg = AdjustedScanConfig(prior=PriorSpec(10), M=99, mcmc=FAST, seed=1)
+    with pytest.raises(TooFewRegionsError, match="needs 5 regions; the study region has 4$"):
+        adjusted_scan(sr, enumerate_windows(sr, dm, 0.5), dm, cfg)
 
 
 # ----------------------------------------------------- train/test surveillance

@@ -514,6 +514,8 @@ def test_overflowing_population_total_is_an_input_error(region_files, tmp_path, 
                  id="study-geo-only"),
     pytest.param(["adjusted-study", "--pop", "g.txt.pop", "--cas", "g.txt.cas"],
                  "--geo, --pop and --cas are given together", id="study-no-geo"),
+    pytest.param(["type1-study", "--geo", "g.txt", "--pop", "g.txt.pop", "--cas", "g.txt.cas",
+                  "--m", "8"], "--m sizes the synthetic geometry", id="study-geo-and-m"),
     pytest.param(["synth-geo", "--m", "4", "--cases", "99999999999999999999", "--out", "g.txt"],
                  "cases must be a whole number below 2**63", id="cases=1e20"),
     pytest.param(["synth-geo", "--m", "4", "--cases", "9000000000000000000",

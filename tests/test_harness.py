@@ -11,9 +11,13 @@ import pytest
 from corrscan import (
     AdjustedScanConfig,
     ExperimentConfig,
+    MaternParams,
+    ModelIIFit,
     PriorSpec,
     adjusted_study,
+    cholesky,
     distance_matrix,
+    matern_cov,
     surveillance_run,
     synth_geometry,
     type1_study,
@@ -190,7 +194,6 @@ def test_fitted_replicate_with_too_few_clean_regions_is_dropped():
     assert len(table.pvalues[(1.0, 20.0, "adjusted_fitted")]) + dropped == 4
 
 
-
 def _fitted_study_with_fit(monkeypatch, fake_fit):
     import corrscan.adjusted as adjusted  # the study's fit runs in adjusted._screened_fit
 
@@ -205,6 +208,32 @@ def _fitted_study_with_fit(monkeypatch, fake_fit):
     table = adjusted_study(sr, _cfg(mode="adjusted_fitted", replicates=3, beta=-5.0,
                                     rho_upper=10))
     return table, len(calls)
+
+
+def test_fitted_study_plugs_in_the_posterior_mean(monkeypatch):
+    # the study's reference field is the one adjusted-scan and surveil use:
+    # sigma at its posterior mean, rho at its posterior mean snapped to the grid
+    import corrscan.harness as harness
+
+    original, fields = harness.null_counts, []
+
+    def recording(rng, total, populations, size, factor=None):
+        if factor is not None:
+            fields.append(factor.L)
+        return original(rng, total, populations, size, factor)
+
+    def two_draws(*args, config, seed):
+        return ModelIIFit(beta=np.array([-5.0, -5.0]), sigma=np.array([0.1, 0.3]),
+                          rho=np.array([4.0, 8.0]), acceptance={}, ess={}, config=config,
+                          prior=args[3], seed=seed)
+
+    monkeypatch.setattr(harness, "null_counts", recording)
+    _, fits = _fitted_study_with_fit(monkeypatch, two_draws)
+    dm = distance_matrix(synth_geometry(16, seed=6))
+    want = cholesky(matern_cov(dm, MaternParams(0.2, 6.0))).L
+    assert len(fields) == fits >= 1
+    for got in fields:
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_study_counts_a_chain_divergence_under_its_cause(monkeypatch):

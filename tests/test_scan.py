@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from corrscan import CovFactor, distance_matrix, enumerate_windows, scan
-from corrscan.scan import llr_star_batch, mc_pvalue, null_counts
+from corrscan import (CovFactor, MaternParams, cholesky, distance_matrix, enumerate_windows,
+                      matern_cov, scan, simulate_grf)
+from corrscan.cli import main
+from corrscan.scan import llr_star_batch, null_counts, reference_pvalue
 
 from conftest import brute_force_llr, brute_force_scan, log_lr, log_lr_vector, random_region
 
@@ -192,6 +194,52 @@ def test_null_counts_constant_field_keeps_the_classical_null(small_region):
     assert np.all(np.abs(sims.var(axis=0) - var) < 4 * dev2.std(axis=0) / np.sqrt(rows))
 
 
+def _kept_rows(rng, beta, n, factor, total, chunks, rows=200_000):
+    """Rows of independent Poisson(n e^{beta + z}) counts, z = L eps from its
+    prior and beta from ``beta(rng, rows)``, kept where they hold ``total``."""
+    kept = []
+    for _ in range(chunks):
+        z = simulate_grf(factor, rng, rows)
+        y = rng.poisson(n * np.exp(beta(rng, rows)[:, None] + z))
+        kept.append(y[y.sum(axis=1) == total])
+    return np.concatenate(kept)
+
+
+def _moments(rows):
+    """Per-region means and variances with their standard errors, and the
+    mean of sum_i y_i^2 with its standard error."""
+    mean, var = rows.mean(axis=0), rows.var(axis=0)
+    m4 = ((rows - mean) ** 4).mean(axis=0)
+    sq = (rows.astype(float) ** 2).sum(axis=1)
+    k = len(rows)
+    return [(mean, np.sqrt(var / k)), (var, np.sqrt((m4 - var ** 2) / k)),
+            (sq.mean(), sq.std() / np.sqrt(k))]
+
+
+def test_null_counts_is_the_mixed_model_given_the_total_with_beta_integrated(small_region):
+    # under the flat prior on beta, the integral over beta of
+    # Poisson(Y; e^beta S(z)) is 1 / Y for every S(z) = sum_i n_i e^{z_i}: so
+    # z | Y, sigma, rho is the prior, and a null_counts row is an exact draw of
+    # y | Y, sigma, rho.  Rows at one fixed beta tilt z and give a narrower null.
+    n, total = small_region.populations[0], 12
+    factor = cholesky(matern_cov(distance_matrix(small_region), MaternParams(0.9, 3.0)))
+    rng = np.random.default_rng(31)
+    centre = math.log(total / n.sum())
+    flat = _kept_rows(rng, lambda g, k: g.uniform(centre - 5, centre + 5, k), n, factor,
+                      total, chunks=12)
+    fixed = _kept_rows(rng, lambda g, k: np.full(k, centre), n, factor, total, chunks=3)
+    want = _moments(null_counts(rng, total, n, 400_000, factor))
+    assert len(flat) > 15_000 and len(fixed) > 15_000
+
+    def z_scores(rows):
+        return [(got - ref) / np.hypot(se, ref_se)
+                for (got, se), (ref, ref_se) in zip(_moments(rows), want)]
+
+    mean_z, var_z, sq_z = z_scores(flat)
+    assert np.all(np.abs(mean_z) < 4) and np.all(np.abs(var_z) < 4) and abs(sq_z) < 4
+    assert z_scores(fixed)[2] < -4
+
+
 # ------------------------------------------------------------ llr_star_batch
 
 def test_llr_star_batch_matches_scan(small_region):
@@ -203,17 +251,24 @@ def test_llr_star_batch_matches_scan(small_region):
         assert scan(small_region, ws, counts=row).llr_star == pytest.approx(val, abs=1e-10)
 
 
-# ---------------------------------------------------------------- mc_pvalue
+# ------------------------------------------------- classical Monte Carlo p-value
+
+def _classical_pvalue(observed, sr, ws, M, seed):
+    """The p-value of ``corrscan scan``: rank against M classical null rows."""
+    n = sr.populations[0]
+    counts = null_counts(np.random.default_rng(seed), sr.total_cases(), n, M)
+    return reference_pvalue(observed, counts, n, ws)
+
 
 def test_pvalue_observed_zero_is_one(small_region):
     ws = enumerate_windows(small_region, distance_matrix(small_region), 0.5)
-    assert mc_pvalue(0.0, small_region, ws, M=99, seed=0) == 1.0
+    assert _classical_pvalue(0.0, small_region, ws, M=99, seed=0) == 1.0
 
 
 def test_pvalue_bounds_and_determinism(small_region):
     ws = enumerate_windows(small_region, distance_matrix(small_region), 0.5)
-    p1 = mc_pvalue(1.3, small_region, ws, M=99, seed=5)
-    p2 = mc_pvalue(1.3, small_region, ws, M=99, seed=5)
+    p1 = _classical_pvalue(1.3, small_region, ws, M=99, seed=5)
+    p2 = _classical_pvalue(1.3, small_region, ws, M=99, seed=5)
     assert p1 == p2
     assert 1 / 100 <= p1 <= 1.0
 
@@ -234,14 +289,20 @@ def test_pvalue_rank_uniformity(small_region):
     pvals = []
     for _ in range(2000):
         obs = llr_star_batch(null_counts(rng, sr.total_cases(), n, 1), n, ws)[0]
-        pvals.append(mc_pvalue(obs, sr, ws, M=M, seed=rng))
+        pvals.append(_classical_pvalue(obs, sr, ws, M=M, seed=rng))
     # chi-square over 10 equal bins of the discrete uniform {1..100}/100
     counts, _ = np.histogram(pvals, bins=np.linspace(0, 1, 11))
     stat, p = chisquare(counts)
     assert p > 0.01
 
 
-def test_pvalue_invalid_m(small_region):
-    ws = enumerate_windows(small_region, distance_matrix(small_region), 0.5)
-    with pytest.raises(ValueError):
-        mc_pvalue(1.0, small_region, ws, M=0)
+def test_pvalue_invalid_m(small_region, tmp_path, capsys):
+    # ``corrscan scan`` checks its reference size M before it draws the reference
+    geo, pop, cas = (tmp_path / name for name in ("geo.txt", "pop.txt", "cas.txt"))
+    ids = small_region.ids
+    geo.write_text("".join(f"{i} {x} {y}\n" for i, (x, y) in zip(ids, small_region.centroids)))
+    pop.write_text("".join(f"{i} {v}\n" for i, v in zip(ids, small_region.populations[0])))
+    cas.write_text("".join(f"{i} {c}\n" for i, c in zip(ids, small_region.cases[0])))
+    assert main(["scan", "--geo", str(geo), "--pop", str(pop), "--cas", str(cas),
+                 "--mc-size", "0"]) == 2
+    assert "M must be a whole number >= 1, got 0" in capsys.readouterr().err
