@@ -4,7 +4,8 @@ Subcommands: scan, fit, adjusted-scan, surveil, type1-study, adjusted-study,
 fdr, check-theory, synth-geo.  A --config file (JSON) supplies settings,
 and --set section.key=value overrides one.  Each subcommand reads only the
 settings keys it declares; any other key is an input error.  Exit codes: 0 ok,
-2 input error, 3 numerical failure, 4 non-convergence warning under --strict.
+2 input error, 3 numerical failure, 4 non-convergence warning or failed FDR fit
+under --strict.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def cmd_surveil(args, cfg):
     sr = load_study_region(args.geo, args.pop, args.cas)
     report = surveillance_run(sr, args.train_period, _adjusted_config(args, cfg))
     _emit(report, args.out)
-    if args.strict and report["fit"]["warnings"]:
+    if args.strict and (report["fit"]["warnings"] or "error" in (report["fdr_fit"] or {})):
         return EXIT_WARN
     return EXIT_OK
 

@@ -76,6 +76,13 @@ def _parse_lines(path):
             yield lineno, _SPLIT.split(line)
 
 
+def _once(path, lineno, key, what, seen):
+    """Record ``key`` at ``lineno`` in ``seen``; refuse it if an earlier line gave it."""
+    if key in seen:
+        raise InputError(f"{path}:{lineno}: {what} repeats line {seen[key]}")
+    seen[key] = lineno
+
+
 def _period_sort_key(label):
     try:
         return (0, int(label), label)
@@ -160,10 +167,11 @@ class StudyRegion:
 
 def load_study_region(geo_file, pop_file, cas_file):
     """Load and validate a :class:`StudyRegion` from the three text files."""
-    coords = {}
+    coords, lines = {}, {}
     for lineno, f in _parse_lines(geo_file):
         if len(f) != 3:
             raise InputError(f"{geo_file}:{lineno}: expected 'id x y', got {len(f)} fields")
+        _once(geo_file, lineno, f[0], f"region id {f[0]!r}", lines)
         try:
             coords[f[0]] = (float(f[1]), float(f[2]))
         except ValueError:
@@ -172,7 +180,7 @@ def load_study_region(geo_file, pop_file, cas_file):
         raise InputError(f"{geo_file}: no regions")
 
     def read_table(path, value_name, parse):
-        out = {}
+        out, lines = {}, {}
         for lineno, f in _parse_lines(path):
             if len(f) == 3:
                 rid, period, val = f
@@ -182,6 +190,8 @@ def load_study_region(geo_file, pop_file, cas_file):
                 raise InputError(f"{path}:{lineno}: expected 'id [period] {value_name}'")
             if rid not in coords:
                 raise InputError(f"{path}:{lineno}: unknown region id {rid!r}")
+            _once(path, lineno, (rid, period), f"region id {rid!r}"
+                  + (f", period {period!r}" if len(f) == 3 else ""), lines)
             try:
                 out[(rid, period)] = parse(val)
             except ValueError:

@@ -77,19 +77,17 @@ def _as_counts(counts, m):
     return out
 
 
-# values in one block of the stream of _window_counts, small enough that a
-# band's five buffers stay in cache: at m = 400 with 999 rows, 1 << 16 took
-# 1.3-1.4 s per call and 1 << 18 took 1.6-1.8 s on a 2-CPU x86-64 host.  It
-# also bounds the ``k log k`` table of :func:`_xlogx_table` (512 KB at most)
+# values in one band's prefix buffer of _window_counts: at m = 400 with 999
+# rows of 3,000 cases, 1 << 16 took 0.65-0.68 s per llr_star_batch call and
+# 0.20-0.22 s per reference_pvalue, 1 << 18 took 0.71-0.78 s and 0.26-0.28 s
+# (2-CPU x86-64 host, one BLAS thread).  It also bounds the ``k log k`` table
+# of :func:`_xlogx_table` (512 KB at most)
 _STREAM_ELEMENTS = 1 << 16
 
 
-def _xlogx(v, out):
-    """``v log v`` for whole numbers ``v >= 0`` (0 at 0), written into ``out``."""
-    np.maximum(v, 1.0, out=out)
-    np.log(out, out=out)
-    out *= v
-    return out
+def _xlogx(v):
+    """``v log v`` for whole numbers ``v >= 0`` (0 at 0)."""
+    return np.log(np.maximum(v, 1.0)) * v
 
 
 def _xlogx_table(total):
@@ -101,8 +99,7 @@ def _xlogx_table(total):
     """
     if total >= _STREAM_ELEMENTS:
         return None
-    k = np.arange(total + 1.0)
-    table = _xlogx(k, np.empty_like(k))
+    table = _xlogx(np.arange(total + 1.0))
     return table + table[::-1]
 
 
@@ -137,14 +134,8 @@ def _population_terms(populations, windows: WindowSet):
     return n_c, np.ldexp(n_g, e), (*(a[:, None] for a in columns), gated)
 
 
-def _scratch(shape):
-    """The kernel's scratch of ``shape``: ``out``, the two ``tmp``, ``high`` and ``index``."""
-    out, *tmp = np.empty((3, *shape))
-    return out, tmp, np.empty(shape, dtype=bool), np.empty(shape, dtype=np.intp)
-
-
-def _llr_kernel(y_c, total, n_g, terms, table, out, tmp, high, index):
-    """Statistic of windows holding ``y_c`` of ``total`` cases, written into ``out``.
+def _llr_kernel(y_c, total, n_g, terms, table):
+    """Statistic of windows holding ``y_c`` of ``total`` cases, as a new array.
 
     With whole-number counts the statistic is
     ``T(y) + T(Y-y) - T(Y) - y log mu - (Y-y) log(1-mu)``, where
@@ -162,21 +153,16 @@ def _llr_kernel(y_c, total, n_g, terms, table, out, tmp, high, index):
     of size ``Y log Y``, so the absolute rounding error grows with the total:
     about ``2 eps Y log Y`` against the rate-ratio form
     ``y log(r_in / r) + (Y-y) log(r_out / r)``.
-
-    ``out``, ``tmp``, ``high`` and ``index`` are the :func:`_scratch` of
-    ``y_c``'s shape.
     """
     n_c, logit, log_out, gated = terms
     if table is None:
-        _xlogx(y_c, out)
-        np.subtract(total, y_c, out=tmp[0])
-        out += _xlogx(tmp[0], tmp[1])
+        out = _xlogx(y_c)
+        out += _xlogx(total - y_c)
     else:
-        np.copyto(index, y_c, casting="unsafe")
-        np.take(table, index, out=out, mode="clip")
-    out -= np.multiply(y_c, logit, out=tmp[0])
-    out -= _xlogx(total, np.empty_like(total)) + total * log_out
-    np.greater(np.multiply(y_c, n_g, out=tmp[0]), total * n_c, out=high)
+        out = np.take(table, y_c.astype(np.intp), mode="clip")
+    out -= y_c * logit
+    out -= _xlogx(total) + total * log_out
+    high = y_c * n_g > total * n_c
     high[gated] = False
     # clamp before the multiply, so that no -0.0 appears; fmax also maps the
     # NaN of 0 * log 0 (a share that underflows to 0) to 0, which False * NaN keeps
@@ -214,7 +200,7 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
     n_c, n_g, terms = _population_terms(sr.period_populations(period), windows)
     y_c = _window_sums(y, windows)
     total = float(y.sum())
-    llr = _llr_kernel(y_c, total, n_g, terms, _xlogx_table(total), *_scratch(y_c.shape))[:, 0]
+    llr = _llr_kernel(y_c, total, n_g, terms, _xlogx_table(total))[:, 0]
     y_c = y_c[:, 0]
 
     positive = np.flatnonzero(llr > 0)
@@ -261,11 +247,10 @@ def _window_counts(counts, windows: WindowSet):
     The windows come by length (:attr:`WindowSet.by_length`), a band of
     prefix positions at a time: a running (centres x rows) count adds the
     next regions of every centre's (distance, id) order, and the band's
-    windows are picked from it.  Yields ``(rows, idx, y_c, scratch)``: the
-    slice of the block's rows, the indices of the band's windows, their
-    float counts, and the kernel's scratch of that shape in its argument
-    order (``out``, ``tmp``, ``high``, ``index``).  No block holds more than
-    ``_STREAM_ELEMENTS`` values, so memory is O(m k).
+    windows are picked from it.  Yields ``(rows, idx, y_c)``: the slice of
+    the block's rows, the indices of the band's windows, and their float
+    counts in a new array that the caller keeps.  The prefix buffer of a
+    band holds at most ``_STREAM_ELEMENTS`` values, so memory is O(m k).
     """
     take, extent, window, slot, start = windows.by_length
     width, centres = len(extent), extent[0]
@@ -276,32 +261,27 @@ def _window_counts(counts, windows: WindowSet):
         k = len(block)
         values = np.ascontiguousarray(block.T, dtype=float)
         band = min(width, max(1, _STREAM_ELEMENTS // (centres * k)))
-        buffers = np.empty((5, band * centres * k))
-        high = np.empty(buffers.shape[1], dtype=bool)
-        index = np.empty(buffers.shape[1], dtype=np.intp)
+        prefix = np.empty(band * centres * k)
         running = np.zeros((centres, k))
         for j in range(0, width, band):
             stop, c = min(j + band, width), extent[j]
             # prefix counts of the band's positions for the first c ranked
             # centres; mode="clip" lets take write into ``out`` unbuffered
-            y = buffers[0, :(stop - j) * c * k].reshape(stop - j, c, k)
+            y = prefix[:(stop - j) * c * k].reshape(stop - j, c, k)
             np.take(values, take[j:stop, :c], axis=0, out=y, mode="clip")
             y[0] += running[:c]
             for i in range(1, len(y)):
                 y[i] += y[i - 1]
             running[:c] = y[-1]
             w = slice(start[j], start[stop])
-            views = [a[:(w.stop - w.start) * k].reshape(-1, k)
-                     for a in (*buffers[1:], high, index)]
-            y_c = np.take(y.reshape(-1, k), (depth[w] - j) * c + slot[w], axis=0,
-                          out=views[0], mode="clip")
-            yield slice(s, s + k), window[w], y_c, (views[1], views[2:4], *views[4:])
+            y_c = np.take(y.reshape(-1, k), (depth[w] - j) * c + slot[w], axis=0)
+            yield slice(s, s + k), window[w], y_c
 
 
 def _window_sums(values, windows: WindowSet):
     """Per-window sums of the rows of a (k, m) array, as a (windows, k) float array."""
     sums = np.empty((len(windows), len(values)))
-    for rows, idx, y_c, _ in _window_counts(values, windows):
+    for rows, idx, y_c in _window_counts(values, windows):
         sums[idx, rows] = y_c
     return sums
 
@@ -324,8 +304,8 @@ def llr_star_batch(counts, populations, windows: WindowSet):
     for g, total in enumerate(totals.astype(float)):  # whole numbers below 2**53 are exact
         in_group = np.flatnonzero(group == g)
         table, top = _xlogx_table(total), np.zeros(len(in_group))
-        for rows, idx, y_c, scratch in _window_counts(counts[in_group], windows):
-            llr = _llr_kernel(y_c, total, n_g, [a[idx] for a in terms], table, *scratch)
+        for rows, idx, y_c in _window_counts(counts[in_group], windows):
+            llr = _llr_kernel(y_c, total, n_g, [a[idx] for a in terms], table)
             np.maximum(top[rows], llr.max(axis=0, initial=0.0), out=top[rows])
         best[in_group] = top
     return best
@@ -360,17 +340,13 @@ def reference_pvalue(observed, counts, populations, windows: WindowSet):
         total = totals[0]
         _, n_g, terms = _population_terms(populations, windows)
         table = _xlogx_table(total)
-        y = np.empty((len(windows), 1))
-        scratch = _scratch(y.shape)
-        below = np.full(y.shape, -1.0)
+        below = np.full((len(windows), 1), -1.0)
         step = 1 << int(total + 1).bit_length() - 1
         while step:
-            np.minimum(below + step, total, out=y)
-            f = _llr_kernel(y, total, n_g, terms, table, *scratch)
+            f = _llr_kernel(np.minimum(below + step, total), total, n_g, terms, table)
             # as in rank_pvalue, a NaN ``observed`` is reached by no value
             np.copyto(below, below + step, where=(below + step <= total) & ~(f >= observed))
             step >>= 1
-        for rows, idx, y_c, scratch in _window_counts(counts, windows):
-            # into the boolean scratch: an intp ``out`` slows the compare
-            hit[rows] |= np.greater(y_c, below[idx], out=scratch[2]).any(axis=0)
+        for rows, idx, y_c in _window_counts(counts, windows):
+            hit[rows] |= (y_c > below[idx]).any(axis=0)
     return (1 + int(np.count_nonzero(hit))) / (len(hit) + 1)

@@ -188,6 +188,30 @@ def test_surveil_strict_exits_4_on_fit_warnings(tmp_path):
     assert json.loads(report.read_text())["fit"]["warnings"] == warnings
 
 
+def test_surveil_strict_exits_4_on_a_failed_fdr_fit(tmp_path, monkeypatch):
+    # the chain is long enough that the fit itself has no warnings, so only
+    # the failed FDR fit can make --strict exit 4
+    def boundary_mode(z):
+        raise ValueError("density mode lies on the grid boundary; no interior mode")
+
+    monkeypatch.setattr(importlib.import_module("corrscan.harness"), "fit_fdr_model",
+                        boundary_mode)
+    geo = str(tmp_path / "geo.txt")
+    assert main(["--seed", "0", "synth-geo", "--m", "8", "--periods", "31", "--cases", "300",
+                 "--out", geo]) == EXIT_OK
+    report = tmp_path / "surveil.json"
+    argv = ["--seed", "0", "--set", "mcmc.n_iter=1200", "--set", "mcmc.burn_in=400",
+            "--set", "mcmc.thin=2", "surveil", "--geo", geo, "--pop", geo + ".pop",
+            "--cas", geo + ".cas", "--train-period", "0", "--mc-size", "99",
+            "--out", str(report)]
+    assert main(argv) == EXIT_OK
+    first = json.loads(report.read_text())
+    assert first["fit"]["warnings"] == []
+    assert first["fdr_fit"] == {"error": "density mode lies on the grid boundary; no interior mode"}
+    assert main([*argv, "--strict"]) == EXIT_WARN
+    assert json.loads(report.read_text()) == first
+
+
 def test_adjusted_scan_strict_exits_4_unconverged(tmp_path):
     sr, _ = two_iteration_region()
     geo, pop, cas = (tmp_path / name for name in ("geo.txt", "pop.txt", "cas.txt"))

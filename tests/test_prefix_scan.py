@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from corrscan import (MaternParams, StudyRegion, cholesky, distance_matrix, enumerate_windows,
                       matern_cov, scan)
+from corrscan.harness import synth_geometry
 from corrscan.region import InputError
 from corrscan.scan import llr_star_batch, null_counts, rank_pvalue, reference_pvalue
 
@@ -186,8 +187,7 @@ def _kernel(counts, populations, ws):
 def _kernel_at(y_c, total, populations, ws):
     """The kernel at (windows x k) window counts ``y_c`` of rows that share ``total``."""
     _, n_g, terms = scan_module._population_terms(populations, ws)
-    return scan_module._llr_kernel(y_c, total, n_g, terms, scan_module._xlogx_table(total),
-                                   *scan_module._scratch(y_c.shape))
+    return scan_module._llr_kernel(y_c, total, n_g, terms, scan_module._xlogx_table(total))
 
 
 @pytest.mark.parametrize("kind", ["one total", "unequal totals", "all-zero row"])
@@ -432,6 +432,22 @@ def test_stream_memory_stays_far_below_windows_by_rows():
         tracemalloc.stop()
     assert len(ws) * len(counts) * 8 > 5 * 2**20
     assert peak < 4 * 2**20
+
+
+def test_stream_arrays_belong_to_the_consumer():
+    # a small block makes one call span many bands and row blocks; every
+    # yielded y_c is kept uncopied and scattered only after the stream ends,
+    # so a later band must not have written into an earlier band's array
+    sr = synth_geometry(40, seed=3, cases=400)
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    counts = null_counts(np.random.default_rng(3), 400, sr.populations[0], 30)
+    with mock.patch.object(scan_module, "_STREAM_ELEMENTS", 200):
+        kept = list(scan_module._window_counts(counts, ws))
+    assert len(kept) > 100
+    sums = np.full((len(ws), len(counts)), np.nan)
+    for rows, idx, y_c in kept:
+        sums[idx, rows] = y_c
+    assert np.array_equal(sums, scan_module._window_sums(counts, ws))
 
 
 def test_counts_must_be_whole_and_nonnegative(small_region):

@@ -129,6 +129,23 @@ def test_load_mixed_period_styles(tmp_path):
         load_study_region(geo, pop, cas)
 
 
+@pytest.mark.parametrize("name, text, where, earlier", [
+    ("geo.txt", "A 0 0\nB 1 0\n# comment\nA 2 0\n", r"geo\.txt:4: region id 'A'", 1),
+    ("pop.txt", "A 1 100\nA 2 100\nB 1 200\nB 2 210\nA 2 90\n",
+     r"pop\.txt:5: region id 'A', period '2'", 2),
+    ("cas.txt", "A 3\nB 1\nA 4\n", r"cas\.txt:3: region id 'A'", 1),
+], ids=["geo", "pop", "cas"])
+def test_load_refuses_a_repeated_record(tmp_path, name, text, where, earlier):
+    # a repeated id, or id and period, must not silently replace the earlier line
+    files = {"geo.txt": "A 0 0\nB 1 0\n", "cas.txt": "",
+             "pop.txt": "A 1 100\nA 2 100\nB 1 200\nB 2 210\n" if name == "pop.txt"
+             else "A 100\nB 200\n"}
+    files[name] = text
+    paths = [_write(tmp_path, f, files[f]) for f in ("geo.txt", "pop.txt", "cas.txt")]
+    with pytest.raises(InputError, match=f"{where} repeats line {earlier}$"):
+        load_study_region(*paths)
+
+
 # ------------------------------------------------------------ distance matrix
 
 def test_distance_single_region():
