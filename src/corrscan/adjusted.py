@@ -14,7 +14,7 @@ import numpy as np
 from .matern import MaternParams, CovFactor, cholesky, matern_cov, simulate_grf
 from .mcmc import McmcConfig, PriorSpec, TooFewRegionsError, fit_model2, posterior_means
 from .region import InputError, StudyRegion, WindowSet, _check_real, _check_whole
-from .scan import llr_star_batch, null_counts, rank_pvalue, reference_pvalue, scan
+from .scan import _reference_pvalues, llr_star_batch, null_counts, rank_pvalue, scan
 
 __all__ = [
     "AdjustedScanConfig",
@@ -205,18 +205,15 @@ def train_test_adjusted_scan(sr: StudyRegion, windows: WindowSet, dm, train_peri
         observed = scan(sr, windows, period)
         n = sr.period_populations(period)
         total = sr.total_cases(period)
-        classical_ref = null_counts(rng_classical, total, n, config.M)
-        adjusted_ref = null_counts(rng_adjusted, total, n, config.M, factor)
-        # a period without cases scores 0, and so gets p = 1
+        references = (null_counts(rng_classical, total, n, config.M),
+                      null_counts(rng_adjusted, total, n, config.M, factor))
+        # one bisection serves both; a period without cases gets p = 1
+        classical_p, adjusted_p = _reference_pvalues(observed.llr_star, references, n, windows)
         results.append({
             "period": period,
             "llr_star": observed.llr_star,
-            "classical_p": reference_pvalue(observed.llr_star, classical_ref, n, windows),
-            "adjusted_p": reference_pvalue(observed.llr_star, adjusted_ref, n, windows),
+            "classical_p": classical_p,
+            "adjusted_p": adjusted_p,
             "primary_members": list(observed.primary.members) if observed.primary else [],
         })
-    return {
-        "train_period": train_period,
-        "fit": summary,
-        "periods": results,
-    }
+    return {"train_period": train_period, "fit": summary, "periods": results}

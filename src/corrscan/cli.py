@@ -226,6 +226,7 @@ def cmd_fdr(args, cfg):
         lines.append(f"{label},{zv:.6f},{fv:.6f}")
     _write("\n".join(lines) + "\n", args.out)
     _emit({"delta0": model.delta0, "sigma0": model.sigma0,
+           "warnings": list(model.density.warnings),
            "histogram": {"edges": model.density.edges.tolist(),
                          "counts": model.density.counts.tolist(),
                          "f": model.density.f.tolist()}},

@@ -10,7 +10,6 @@ against the null, so fdr is 1 at and above the null's centre delta0.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,6 +108,7 @@ class FittedDensity:
     f: np.ndarray  # density values, integrate to ~1
     edges: np.ndarray
     counts: np.ndarray
+    warnings: tuple = ()  # caveats, such as fewer than 100 z-values
 
 
 def default_bins(n_values):
@@ -120,8 +120,6 @@ def fit_empirical_density(z, bins=None, spline_df=5) -> FittedDensity:
     z = np.asarray(z, dtype=float)
     if len(z) < 30:
         raise InputError("need at least 30 z-values to fit a density")
-    if len(z) < 100:
-        warnings.warn("fewer than 100 z-values: density fit may be unstable")
     if np.ptp(z) == 0:
         raise InputError("degenerate input: all z-values identical")
     bins = bins or default_bins(len(z))
@@ -131,7 +129,8 @@ def fit_empirical_density(z, bins=None, spline_df=5) -> FittedDensity:
     fitted, _, _ = poisson_spline_fit(mids, counts, spline_df)
     width = edges[1] - edges[0]
     f = fitted / (fitted.sum() * width)
-    return FittedDensity(grid=mids, f=f, edges=edges, counts=counts)
+    caveats = ("fewer than 100 z-values: density fit may be unstable",) if len(z) < 100 else ()
+    return FittedDensity(grid=mids, f=f, edges=edges, counts=counts, warnings=caveats)
 
 
 def fit_empirical_null(grid, f):

@@ -256,7 +256,8 @@ def surveillance_run(sr: StudyRegion, train_period, config: AdjustedScanConfig):
         try:
             model = fit_fdr_model(z)
             fdr_vals = model.fdr
-            fdr_fit = {"delta0": model.delta0, "sigma0": model.sigma0}
+            fdr_fit = {"delta0": model.delta0, "sigma0": model.sigma0,
+                       "warnings": list(model.density.warnings)}
         except (ValueError, RuntimeError) as exc:
             fdr_fit = {"error": str(exc)}
     for row, zv, fv in zip(report["periods"], z, fdr_vals):

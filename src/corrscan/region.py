@@ -257,10 +257,6 @@ class CandidateCluster:
         return tuple(sr.ids[i] for i in self.members)
 
 
-# elements of one membership-bitset block in enumerate_windows
-_ROW_BLOCK_ELEMENTS = 1 << 20
-
-
 class WindowSet:
     """Deterministic list of candidate windows, stored as prefixes.
 
@@ -294,26 +290,25 @@ class WindowSet:
         """Member indices of window ``i`` in (distance, id) order, as an array."""
         return self.order[self.center[i], :self.length[i]]
 
-    def overlapping(self, regions):
-        """Boolean mask of the windows that contain any of ``regions``."""
-        inside = np.zeros(self.m, dtype=bool)
-        inside[regions] = True
-        hit = inside[self.order]
-        first = np.where(hit.any(axis=1), hit.argmax(axis=1), hit.shape[1])
-        return first[self.center] < self.length
+    @cached_property
+    def position(self):
+        """(m, m) table of each region's position in each centre's order, or the width."""
+        width = self.order.shape[1]
+        position = np.full((self.m, self.m), width, dtype=np.int32)
+        position[np.arange(self.m)[:, None], self.order] = np.arange(width, dtype=np.int32)
+        position.setflags(write=False)
+        return position
 
     @cached_property
     def by_length(self):
         """Layout for evaluating the windows one band of lengths at a time.
 
-        Returns ``(take, extent, window, slot, start)``.  The centres are
-        ranked by their longest window, longest first, so the centres with a
-        window of length ``j + 1`` are within the first ``extent[j]``, and
-        ``take[j, r]`` is the region at prefix position ``j`` of the centre
-        ranked ``r``.  ``window`` lists the window indices by (length, rank of
-        the centre), ``slot`` holds that rank, and the windows of length
-        ``j + 1`` are ``window[start[j]:start[j + 1]]``.  It depends on
-        geometry only, so it is built once per set.
+        Returns ``(take, extent, window, slot, start)``.  With the centres
+        ranked by their longest window, longest first, those with a window of
+        length ``j + 1`` are the first ``extent[j]``, and ``take[j, r]`` is the
+        region at prefix position ``j`` of the centre ranked ``r``.  ``window``
+        lists the windows by (length, centre rank), ``slot`` holds that rank,
+        and those of length ``j + 1`` are ``window[start[j]:start[j + 1]]``.
         """
         longest = np.zeros(self.m, dtype=np.intp)
         np.maximum.at(longest, self.center, self.length)
@@ -329,6 +324,35 @@ class WindowSet:
         for arr in layout:
             arr.setflags(write=False)
         return layout
+
+
+def _region_keys(m, attempt):
+    """The m regions' random uint64 hash keys, fixed by ``attempt``."""
+    return np.random.default_rng(attempt).bit_generator.random_raw(m)
+
+
+def _first_of_each_set(ws: WindowSet):
+    """Indices, in order, of the windows whose member set no earlier one has.
+
+    A set's hash, the wrapping sum of its regions' keys, is one cumulative sum
+    along ``order``.  A window is dropped only after its members check against
+    the first window of its hash; a failed check (a collision) redraws the keys.
+    """
+    attempt = 0
+    while True:
+        hashes = np.cumsum(_region_keys(ws.m, attempt)[ws.order], axis=1)[ws.center, ws.length - 1]
+        # a stable sort inside np.unique: ``first`` holds each hash's earliest window
+        _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+        later = np.flatnonzero(first[inverse] != np.arange(len(ws)))
+        lead, size = first[inverse[later]], ws.length[later]
+        if np.array_equal(size, ws.length[lead]):
+            # every member of a later window lies inside its first window
+            rank = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+            members = ws.order[np.repeat(ws.center[later], size), rank]
+            lead = np.repeat(lead, size)
+            if (ws.position[ws.center[lead], members] < ws.length[lead]).all():
+                return np.sort(first)
+        attempt += 1
 
 
 def enumerate_windows(sr: StudyRegion, dm: np.ndarray, max_fraction: float = 0.5) -> WindowSet:
@@ -358,24 +382,6 @@ def enumerate_windows(sr: StudyRegion, dm: np.ndarray, max_fraction: float = 0.5
     center = np.repeat(np.arange(m), n_prefix)
     start = np.cumsum(n_prefix) - n_prefix
     length = np.arange(len(center)) - np.repeat(start, n_prefix) + 1
-    # exact de-duplication on membership bitsets packed into 64-bit words,
-    # built in chunks so that no (candidates x m) boolean array is held at once
-    n_words = -(-m // 64)
-    position = np.full((m, 64 * n_words), width, dtype=np.int32)  # width: outside every prefix
-    position[np.arange(m)[:, None], order] = np.arange(width, dtype=np.int32)
-    rows = max(1, _ROW_BLOCK_ELEMENTS // position.shape[1])
-    words = np.concatenate(
-        [np.packbits(position[center[s:s + rows]] < length[s:s + rows, None], axis=1)
-         for s in range(0, max(len(center), 1), rows)]).view(np.uint64)
-    # lexsort is stable, so each run of equal bitsets starts at its first
-    # occurrence.  np.unique(words, axis=0, return_index=True) gives the same
-    # rows but sorts a void view of them, and doubled the enumeration time on
-    # a 2-CPU x86-64 host (0.017 -> 0.035-0.041 s at m = 200, 0.10 -> 0.16 s at m = 400)
-    by_bits = np.lexsort(words.T)
-    ranked = words[by_bits]
-    is_first = np.ones(len(ranked), dtype=bool)
-    is_first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    keep = np.sort(by_bits[is_first])
-    center, length = center[keep], length[keep]
     radius = np.asarray(dm, dtype=float)[center, order[center, length - 1]]
-    return WindowSet(order, center, length, radius)
+    keep = _first_of_each_set(WindowSet(order, center, length, radius))
+    return WindowSet(order, center[keep], length[keep], radius[keep])

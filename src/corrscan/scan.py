@@ -1,11 +1,9 @@
 """Likelihood-ratio scan statistic, null simulation and Monte Carlo p-values.
 
-The statistic is the log of the normalized likelihood ratio comparing the
-rate inside a window against the rate outside, gated to zero unless the
-inside rate is the higher one.  All work is in log space.  Every Monte
-Carlo reference, classical or mixed-model, is drawn by :func:`null_counts`,
-and its rank p-value comes from per-window critical counts
-(:func:`reference_pvalue`), exactly as from the rows' maxima.
+The statistic is the log likelihood ratio of the rate inside a window against
+the rate outside, gated to zero unless the inside rate is higher.  Every Monte
+Carlo reference is drawn by :func:`null_counts`, and its rank p-value comes
+from per-window critical counts (:func:`reference_pvalue`).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Maximized statistic with primary and non-overlapping secondary clusters."""
+    """Maximized statistic with primary and disjoint secondary clusters."""
 
     llr_star: float
     primary: CandidateCluster | None
@@ -44,13 +42,8 @@ class ScanResult:
 
     def to_dict(self, sr: StudyRegion | None = None):
         def cluster_dict(c, llr, y, n):
-            d = {
-                "center": c.center,
-                "members": list(c.members),
-                "Y_C": int(y),
-                "N_C": float(n),
-                "llr": float(llr),
-            }
+            d = {"center": c.center, "members": list(c.members), "Y_C": int(y),
+                 "N_C": float(n), "llr": float(llr)}
             if sr is not None:
                 d["member_ids"] = list(c.member_ids(sr))
             return d
@@ -59,9 +52,8 @@ class ScanResult:
             "llr_star": self.llr_star,
             "p_value": self.p_value,
             "M": self.mc_size,
-            "primary": None
-            if self.primary is None
-            else cluster_dict(self.primary, self.llr_star, self.primary_y, self.primary_n),
+            "primary": self.primary and cluster_dict(self.primary, self.llr_star,
+                                                     self.primary_y, self.primary_n),
             "secondaries": [cluster_dict(c, llr, y, n) for c, llr, y, n in self.secondaries],
         }
 
@@ -77,11 +69,11 @@ def _as_counts(counts, m):
     return out
 
 
-# values in one band's prefix buffer of _window_counts: at m = 400 with 999
-# rows of 3,000 cases, 1 << 16 took 0.65-0.68 s per llr_star_batch call and
-# 0.20-0.22 s per reference_pvalue, 1 << 18 took 0.71-0.78 s and 0.26-0.28 s
-# (2-CPU x86-64 host, one BLAS thread).  It also bounds the ``k log k`` table
-# of :func:`_xlogx_table` (512 KB at most)
+# values in one band's prefix buffer of _window_counts, and the bound of the
+# k log k table (512 KB at most).  At m = 400 with 999 int16 rows of 3,000
+# cases (2-CPU x86-64, one BLAS thread), llr_star_batch took 0.54-0.55 s at
+# 1 << 16 and 0.53-0.56 s at 1 << 17 or 1 << 18, reference_pvalue 0.08-0.09 s
+# and 0.06-0.07 s; at m = 128, M = 99 the larger block was slower.
 _STREAM_ELEMENTS = 1 << 16
 
 
@@ -91,12 +83,9 @@ def _xlogx(v):
 
 
 def _xlogx_table(total):
-    """``T(k) + T(total - k)`` for ``k = 0 .. total``, ``T`` being :func:`_xlogx`.
-
-    One gather gives both count terms, with the bits of :func:`_xlogx`.  None
-    (evaluate the logs) once ``total`` reaches ``_STREAM_ELEMENTS``, so no
-    table outgrows one stream block.
-    """
+    """``T(k) + T(total - k)`` for ``k = 0 .. total``, ``T`` being :func:`_xlogx`,
+    so one gather gives both count terms with its bits; None (evaluate the
+    logs) once ``total`` reaches ``_STREAM_ELEMENTS``."""
     if total >= _STREAM_ELEMENTS:
         return None
     table = _xlogx(np.arange(total + 1.0))
@@ -105,17 +94,14 @@ def _xlogx_table(total):
 
 def _population_terms(populations, windows: WindowSet):
     """Window populations ``n_c``, then the study total N and the per-window
-    ``(n_c, logit mu, log(1 - mu), gated)`` that :func:`_llr_kernel` reads.
+    ``(n_c, logit mu, log(1 - mu), gated)``, (windows, 1) columns and a flat mask.
 
     ``mu = n_c / N`` is the window's population share.  ``gated`` marks the
-    windows whose statistic is zero: the window of all m regions and any
-    whose share rounds to 1 or above.  Their share is set to 1/2 so that both
-    logs stay finite.  A positive share below the smallest normal float
-    (one that underflows to 0 or loses bits) takes its log as
-    ``log(n_c) - log(N)``.  N and the column n_c enter only the kernel's gate
-    ``y N > Y n_c``, scaled by the power of two that puts N in [1/2, 1), so
-    neither product overflows; binary scaling is exact in the normal range.
-    The three columns are (windows, 1); ``gated`` is flat.
+    windows that score zero, the window of all m regions and any whose share
+    rounds to 1 or above; their share is set to 1/2 so that both logs stay
+    finite.  A positive share below the smallest normal float takes its log
+    as ``log(n_c) - log(N)``.  N and n_c enter only the gate ``y N > Y n_c``,
+    scaled exactly so that N is in [1/2, 1) and neither product overflows.
     """
     n = np.asarray(populations, dtype=float)
     n_g = n.sum()
@@ -134,35 +120,35 @@ def _population_terms(populations, windows: WindowSet):
     return n_c, np.ldexp(n_g, e), (*(a[:, None] for a in columns), gated)
 
 
-def _llr_kernel(y_c, total, n_g, terms, table):
-    """Statistic of windows holding ``y_c`` of ``total`` cases, as a new array.
+def _total_columns(total, terms):
+    """The kernel's columns of one total Y: ``T(Y) + Y log(1 - mu)`` and ``Y n_c``."""
+    n_c, _, log_out, _ = terms
+    return _xlogx(total) + total * log_out, total * n_c
 
-    With whole-number counts the statistic is
-    ``T(y) + T(Y-y) - T(Y) - y log mu - (Y-y) log(1-mu)``, where
-    ``T(k) = k log k``, ``y`` the window count, ``Y`` the scalar ``total``
-    that every row shares and ``mu = n_c / N`` the window's population
-    share; ``n_g`` and ``terms`` are the scaled total and the windows'
-    entries of :func:`_population_terms`.  ``T(y) + T(Y-y)`` is gathered
-    from ``table``, the :func:`_xlogx_table` of ``total``, and evaluated by
-    logs when it is None; both give the same bits.  The value returned is
-    clamped at zero and gated to zero unless ``y N > Y n_c`` (inside rate
-    higher), and for the windows marked ``gated``; the gate is a multiply by
-    a boolean, not a branch per element.  :func:`scan`,
-    :func:`llr_star_batch` and :func:`reference_pvalue` all evaluate through
-    this function, so equal counts give bit-equal statistics.  The terms are
-    of size ``Y log Y``, so the absolute rounding error grows with the total:
-    about ``2 eps Y log Y`` against the rate-ratio form
-    ``y log(r_in / r) + (Y-y) log(r_out / r)``.
+
+def _llr_kernel(y_c, total, n_g, terms, table, columns=None):
+    """Statistic of windows holding ``y_c`` (integer or float) of ``total`` cases.
+
+    It is ``T(y) + T(Y-y) - T(Y) - y log mu - (Y-y) log(1-mu)``, with
+    ``T(k) = k log k``, ``Y`` the scalar ``total`` of every row and ``mu``
+    the window's population share, from :func:`_population_terms` and
+    :func:`_total_columns` (``columns``, computed here when None).
+    ``T(y) + T(Y-y)`` is gathered from ``table``, or evaluated by logs when it
+    is None, with the same bits.  The result, a new array, is clamped at zero
+    and gated to zero unless ``y N > Y n_c`` (inside rate higher) and for
+    ``gated`` windows.  Every entry point evaluates through this function, so
+    equal counts tie bit for bit; the rounding error is about ``2 eps Y log Y``.
     """
-    n_c, logit, log_out, gated = terms
+    _, logit, _, gated = terms
+    base, bound = columns or _total_columns(total, terms)
     if table is None:
         out = _xlogx(y_c)
         out += _xlogx(total - y_c)
     else:
         out = np.take(table, y_c.astype(np.intp), mode="clip")
     out -= y_c * logit
-    out -= _xlogx(total) + total * log_out
-    high = y_c * n_g > total * n_c
+    out -= base
+    high = y_c * n_g > bound
     high[gated] = False
     # clamp before the multiply, so that no -0.0 appears; fmax also maps the
     # NaN of 0 * log 0 (a share that underflows to 0) to 0, which False * NaN keeps
@@ -210,21 +196,17 @@ def scan(sr: StudyRegion, windows: WindowSet, period=None, counts=None) -> ScanR
         smallest = np.flatnonzero(windows.length == windows.length.min())
         ranked = _ranked(windows, smallest, llr)[:1]
     primary = ranked[0]
-    # greedy: the next secondary is the best-ranked window disjoint from all taken
-    blocked = windows.overlapping(windows.members(primary))
+    # greedy: the next secondary is the best-ranked window disjoint from all
+    # taken: shorter than ``first``, per centre the earliest position taken
+    first = windows.position[:, windows.members(primary)].min(axis=1)
     secondaries = []
     rest = ranked[1:]
-    while len(rest := rest[~blocked[rest]]):
+    while len(rest := rest[first[windows.center[rest]] >= windows.length[rest]]):
         i = rest[0]
         secondaries.append((windows[i], float(llr[i]), int(y_c[i]), float(n_c[i])))
-        blocked |= windows.overlapping(windows.members(i))
-    return ScanResult(
-        llr_star=float(llr[primary]),
-        primary=windows[primary],
-        primary_y=int(y_c[primary]),
-        primary_n=float(n_c[primary]),
-        secondaries=tuple(secondaries),
-    )
+        np.minimum(first, windows.position[:, windows.members(i)].min(axis=1), out=first)
+    return ScanResult(float(llr[primary]), windows[primary], int(y_c[primary]),
+                      float(n_c[primary]), tuple(secondaries))
 
 
 def null_counts(rng, total, populations, size, factor=None):
@@ -241,16 +223,21 @@ def null_counts(rng, total, populations, size, factor=None):
     return rng.multinomial(total, p / p.sum(axis=1, keepdims=True))
 
 
+def _count_dtype(top):
+    """The narrowest of int16, int32 and int64 that holds the whole number ``top``."""
+    return np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64
+
+
 def _window_counts(counts, windows: WindowSet):
     """Stream the (windows x rows) counts of a (k, m) count matrix.
 
     The windows come by length (:attr:`WindowSet.by_length`), a band of
     prefix positions at a time: a running (centres x rows) count adds the
-    next regions of every centre's (distance, id) order, and the band's
-    windows are picked from it.  Yields ``(rows, idx, y_c)``: the slice of
-    the block's rows, the indices of the band's windows, and their float
-    counts in a new array that the caller keeps.  The prefix buffer of a
-    band holds at most ``_STREAM_ELEMENTS`` values, so memory is O(m k).
+    next regions of every centre's (distance, id) order.  Yields ``(rows,
+    idx, y_c)``: the block's rows, the band's window indices and their
+    counts, a new array of the :func:`_count_dtype` of the block's largest
+    row total (floats for float ``counts``).  A band's prefix buffer holds at
+    most ``_STREAM_ELEMENTS`` values, so memory is O(m k).
     """
     take, extent, window, slot, start = windows.by_length
     width, centres = len(extent), extent[0]
@@ -259,10 +246,11 @@ def _window_counts(counts, windows: WindowSet):
     for s in range(0, len(counts), step):
         block = counts[s:s + step]
         k = len(block)
-        values = np.ascontiguousarray(block.T, dtype=float)
+        dtype = float if block.dtype.kind == "f" else _count_dtype(block.sum(axis=1).max())
+        values = np.ascontiguousarray(block.T, dtype=dtype)
         band = min(width, max(1, _STREAM_ELEMENTS // (centres * k)))
-        prefix = np.empty(band * centres * k)
-        running = np.zeros((centres, k))
+        prefix = np.empty(band * centres * k, dtype=dtype)
+        running = np.zeros((centres, k), dtype=dtype)
         for j in range(0, width, band):
             stop, c = min(j + band, width), extent[j]
             # prefix counts of the band's positions for the first c ranked
@@ -289,11 +277,8 @@ def _window_sums(values, windows: WindowSet):
 def llr_star_batch(counts, populations, windows: WindowSet):
     """Max statistic for each row of a (k, m) count matrix.
 
-    The rows of each distinct total (one group for a :func:`null_counts`
-    reference) are streamed by :func:`_window_counts` and evaluated by the
-    kernel that :func:`scan` uses; each row keeps its running maximum.  A
-    Monte Carlo p-value needs only whether each maximum reaches the observed
-    statistic, which :func:`reference_pvalue` answers without the kernel.
+    The rows of each total are streamed by :func:`_window_counts` through
+    the kernel, with the total's columns computed once.
     """
     counts = _as_counts(counts, windows.m)
     best = np.zeros(len(counts))
@@ -304,8 +289,10 @@ def llr_star_batch(counts, populations, windows: WindowSet):
     for g, total in enumerate(totals.astype(float)):  # whole numbers below 2**53 are exact
         in_group = np.flatnonzero(group == g)
         table, top = _xlogx_table(total), np.zeros(len(in_group))
+        columns = _total_columns(total, terms)
         for rows, idx, y_c in _window_counts(counts[in_group], windows):
-            llr = _llr_kernel(y_c, total, n_g, [a[idx] for a in terms], table)
+            llr = _llr_kernel(y_c, total, n_g, [a[idx] for a in terms], table,
+                              [a[idx] for a in columns])
             np.maximum(top[rows], llr.max(axis=0, initial=0.0), out=top[rows])
         best[in_group] = top
     return best
@@ -317,36 +304,45 @@ def rank_pvalue(observed, reference):
     return (1 + int(np.count_nonzero(reference >= observed))) / (len(reference) + 1)
 
 
+def _critical_counts(observed, total, populations, windows: WindowSet):
+    """Each window's largest count y <= ``total`` whose statistic stays under
+    ``observed`` > 0, or -1, as (windows, 1) integers of :func:`_count_dtype`:
+    a bisection on the kernel, so that ties compare the bits of the maximum."""
+    _, n_g, terms = _population_terms(populations, windows)
+    table, columns = _xlogx_table(total), _total_columns(total, terms)
+    below = np.full((len(windows), 1), -1.0)
+    step = 1 << int(total + 1).bit_length() - 1
+    while step:
+        f = _llr_kernel(np.minimum(below + step, total), total, n_g, terms, table, columns)
+        # as in rank_pvalue, a NaN ``observed`` is reached by no value
+        np.copyto(below, below + step, where=(below + step <= total) & ~(f >= observed))
+        step >>= 1
+    return below.astype(_count_dtype(total))
+
+
+def _reference_pvalues(observed, references, populations, windows: WindowSet):
+    """:func:`reference_pvalue` against each of ``references`` (one total), with one bisection."""
+    references = [_as_counts(counts, windows.m) for counts in references]
+    totals = np.unique(np.concatenate([counts.sum(axis=1) for counts in references]))
+    if len(totals) > 1:
+        raise ValueError("reference rows must share one case total")
+    if observed <= 0:
+        return [1.0] * len(references)  # every maximum is at least 0
+    hits = [np.zeros(len(counts), dtype=bool) for counts in references]
+    if len(windows) and len(totals):
+        below = _critical_counts(observed, float(totals[0]), populations, windows)
+        for counts, hit in zip(references, hits):
+            for rows, idx, y_c in _window_counts(counts, windows):
+                hit[rows] |= (y_c > below[idx]).any(axis=0)
+    return [(1 + int(np.count_nonzero(hit))) / (len(hit) + 1) for hit in hits]
+
+
 def reference_pvalue(observed, counts, populations, windows: WindowSet):
     """``rank_pvalue(observed, llr_star_batch(counts, populations, windows))``
     for rows of one total Y, as every :func:`null_counts` reference has.
 
-    A window's statistic is 0 up to its gate and, while the kernel is
-    nondecreasing in the window count y above it, a row's maximum reaches
-    ``observed`` > 0 exactly when some window holds more than its count
-    ``below``: the largest y <= Y whose statistic stays under ``observed``,
-    or -1.  A bisection finds ``below`` with the kernel on (windows x 1)
-    candidates, so that ties compare the same bits as the maximum; the
-    stream then compares counts where the maximum evaluates the kernel.
+    While the kernel is nondecreasing in the window count, a row's maximum
+    reaches ``observed`` > 0 exactly when some window count exceeds its
+    :func:`_critical_counts`, so the stream compares integers instead.
     """
-    counts = _as_counts(counts, windows.m)
-    totals = np.unique(counts.sum(axis=1)).astype(float)
-    if len(totals) > 1:
-        raise ValueError("reference rows must share one case total")
-    if observed <= 0:
-        return 1.0  # every maximum is at least 0
-    hit = np.zeros(len(counts), dtype=bool)
-    if len(windows) and len(counts):
-        total = totals[0]
-        _, n_g, terms = _population_terms(populations, windows)
-        table = _xlogx_table(total)
-        below = np.full((len(windows), 1), -1.0)
-        step = 1 << int(total + 1).bit_length() - 1
-        while step:
-            f = _llr_kernel(np.minimum(below + step, total), total, n_g, terms, table)
-            # as in rank_pvalue, a NaN ``observed`` is reached by no value
-            np.copyto(below, below + step, where=(below + step <= total) & ~(f >= observed))
-            step >>= 1
-        for rows, idx, y_c in _window_counts(counts, windows):
-            hit[rows] |= (y_c > below[idx]).any(axis=0)
-    return (1 + int(np.count_nonzero(hit))) / (len(hit) + 1)
+    return _reference_pvalues(observed, [counts], populations, windows)[0]

@@ -212,6 +212,40 @@ def test_surveil_strict_exits_4_on_a_failed_fdr_fit(tmp_path, monkeypatch):
     assert json.loads(report.read_text()) == first
 
 
+def test_surveil_reports_the_small_sample_fdr_caveat_not_on_stderr(tmp_path):
+    # 30 test periods fit the FDR layer on fewer than 100 z-values: the
+    # caveat is in the report, nothing reaches stderr, and --strict ignores it
+    geo = str(tmp_path / "geo.txt")
+    assert main(["--seed", "0", "synth-geo", "--m", "8", "--periods", "31", "--cases", "300",
+                 "--out", geo]) == EXIT_OK
+    report = tmp_path / "surveil.json"
+    argv = ["--seed", "0", "--set", "mcmc.n_iter=1200", "--set", "mcmc.burn_in=400",
+            "--set", "mcmc.thin=2", "surveil", "--geo", geo, "--pop", geo + ".pop",
+            "--cas", geo + ".cas", "--train-period", "0", "--mc-size", "99",
+            "--out", str(report), "--strict"]
+    code = f"import sys; from corrscan.cli import main; sys.exit(main({argv!r}))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (out.returncode, out.stderr) == (EXIT_OK, "")
+    result = json.loads(report.read_text())
+    assert result["fit"]["warnings"] == []
+    assert result["fdr_fit"]["warnings"] == [
+        "fewer than 100 z-values: density fit may be unstable"]
+    assert {"delta0", "sigma0"} <= set(result["fdr_fit"])
+
+
+def test_fdr_reports_the_small_sample_caveat(tmp_path):
+    rng = np.random.default_rng(6)
+    inp = tmp_path / "p.csv"
+    for rows, caveats in ((50, ["fewer than 100 z-values: density fit may be unstable"]),
+                          (200, [])):
+        inp.write_text("".join(f"t{i} {p:.3f}\n"
+                               for i, p in enumerate(rng.integers(1, 1000, rows) / 1000)))
+        out = str(tmp_path / "fdr.csv")
+        assert main(["fdr", "--input", str(inp), "--mc-size", "999", "--out", out]) == EXIT_OK
+        assert json.loads(Path(out + ".json").read_text())["warnings"] == caveats
+
+
 def test_adjusted_scan_strict_exits_4_unconverged(tmp_path):
     sr, _ = two_iteration_region()
     geo, pop, cas = (tmp_path / name for name in ("geo.txt", "pop.txt", "cas.txt"))

@@ -358,6 +358,74 @@ def test_reference_pvalue_equals_the_rank_of_the_maxima(mode, block, scale):
     assert reference_pvalue(star.max() + 1, ref, n, ws) == 1 / 46
 
 
+@pytest.mark.parametrize("total, m, dtype", [
+    (3_000, 12, np.int16),
+    (40_000, 12, np.int32),
+    (2**31 + 7, 8, np.int64),  # one row total at or above 2**31
+])
+def test_integer_stream_paths_match_the_oracle(total, m, dtype):
+    # the stream's integer type follows the largest row total (populations
+    # stream as floats); the maxima match the dense oracle within the claimed
+    # bound and the critical-count p-value equals the rank of the maxima
+    rng = np.random.default_rng(m + total % 1000)
+    sr = random_region(rng, m)
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    n = sr.populations[0]
+    ref = null_counts(rng, total, n, 30)
+    stream, seen = scan_module._window_counts, set()
+
+    def spy(counts, windows):
+        for rows, idx, y_c in stream(counts, windows):
+            seen.add(y_c.dtype)
+            yield rows, idx, y_c
+
+    with mock.patch.object(scan_module, "_window_counts", spy):
+        star = llr_star_batch(ref, n, ws)
+        assert seen == {np.dtype(dtype), np.dtype(float)}
+        seen.clear()
+        assert len(set(star.tolist())) > 10
+        for s in (*star, 0.0, star.max() * (1 + 1e-12)):
+            assert reference_pvalue(s, ref, n, ws) == rank_pvalue(s, star), s
+        assert seen == {np.dtype(dtype), np.dtype(float)}
+    dense = dense_window_llr(ref, n, [w.members for w in ws])[0].max(axis=1)
+    assert np.max(np.abs(star - dense)) <= 4 * np.finfo(float).eps * total * np.log(total)
+    assert np.array_equal(star, [scan(sr, ws, counts=row).llr_star for row in ref])
+
+
+def test_one_bisection_serves_references_of_one_total():
+    # the two references of a surveil period share the observed statistic,
+    # total and populations, so their p-values share one set of critical counts
+    rng = np.random.default_rng(21)
+    sr = random_region(rng, 24)
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    n, total = sr.populations[0], sr.total_cases()
+    factor = cholesky(matern_cov(distance_matrix(sr), MaternParams(sigma=0.8, rho=3.0)))
+    refs = (null_counts(rng, total, n, 40), null_counts(rng, total, n, 40, factor))
+    observed = scan(sr, ws).llr_star
+    want = [reference_pvalue(observed, ref, n, ws) for ref in refs]
+    with mock.patch.object(scan_module, "_critical_counts",
+                           wraps=scan_module._critical_counts) as bisect:
+        assert scan_module._reference_pvalues(observed, refs, n, ws) == want
+    assert bisect.call_count == 1
+    assert want == [rank_pvalue(observed, llr_star_batch(ref, n, ws)) for ref in refs]
+    with pytest.raises(ValueError, match="one case total"):
+        scan_module._reference_pvalues(observed, (refs[0], refs[1][:, ::-1] + 1), n, ws)
+
+
+@pytest.mark.parametrize("seed", [60, 61, 62, 63])
+def test_secondaries_match_dense_at_m60(seed):
+    # the incremental blocking of taken regions against the dense greedy
+    # pass, on the observed row, null rows and a row with raised clusters
+    rng = np.random.default_rng(seed)
+    sr = random_region(rng, 60)
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    raised = sr.cases[0].copy()
+    raised[rng.choice(60, 8, replace=False)] += 25
+    for row in (sr.cases[0], raised, *_null_batch(rng, sr, 4)):
+        _assert_scan_matches_dense(sr, ws, row)
+    assert len(scan(sr, ws, counts=raised).secondaries) > 2
+
+
 def test_reference_pvalue_on_a_share_that_underflows():
     sr = StudyRegion(**UNDERFLOW, cases=[[1, 0, 3, 4]])
     ws = enumerate_windows(sr, distance_matrix(sr), 0.5)

@@ -1,5 +1,7 @@
 """Study-region model: file loading, distances, candidate window enumeration."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,8 @@ from corrscan import (
 from corrscan.region import InputError
 from corrscan.scan import _window_sums
 
-from conftest import brute_force_distance, brute_force_window_sets, random_region
+from conftest import (brute_force_distance, brute_force_window_sets, loop_enumerate_windows,
+                      random_region)
 
 
 # ---------------------------------------------------------------- StudyRegion
@@ -298,3 +301,43 @@ def test_non_finite_population_rejected(value):
     with pytest.raises(InputError, match="non-finite population"):
         StudyRegion(ids=("A", "B"), centroids=[[0, 0], [1, 1]], periods=("all",),
                     populations=[[1.0, value]], cases=[[0, 0]])
+
+
+@pytest.mark.parametrize("lattice", [False, True])
+def test_hash_collisions_never_drop_a_window(monkeypatch, lattice):
+    # equal keys on the first draw give every window of one size the same
+    # hash; the member check must catch it and draw the keys again, so the
+    # windows are still exactly those of the explicit loop
+    region = importlib.import_module("corrscan.region")
+    draw, attempts = region._region_keys, []
+
+    def equal_first(m, attempt):
+        attempts.append(attempt)
+        return np.full(m, 12345, dtype=np.uint64) if attempt == 0 else draw(m, attempt)
+
+    monkeypatch.setattr(region, "_region_keys", equal_first)
+    if lattice:  # equal populations on a lattice: many exact distance ties
+        grid = np.array([(i, j) for i in range(7) for j in range(7)], dtype=float)
+        sr = StudyRegion(ids=tuple(f"g{i:02d}" for i in reversed(range(len(grid)))),
+                         centroids=grid, periods=("all",),
+                         populations=np.full((1, len(grid)), 100.0),
+                         cases=np.zeros((1, len(grid)), dtype=int))
+    else:
+        sr = random_region(np.random.default_rng(31), 30)
+    dm = distance_matrix(sr)
+    for frac in (0.5, 1.0):
+        attempts.clear()
+        ws = enumerate_windows(sr, dm, frac)
+        assert attempts == [0, 1]
+        assert [(w.center, w.members, w.radius) for w in ws] == \
+            loop_enumerate_windows(sr, dm, frac)
+
+
+def test_position_table_places_every_region():
+    sr = random_region(np.random.default_rng(4), 20)
+    ws = enumerate_windows(sr, distance_matrix(sr), 0.5)
+    width = ws.order.shape[1]
+    for c in range(sr.m):
+        inside = {int(r): j for j, r in enumerate(ws.order[c])}
+        assert [ws.position[c, r] for r in range(sr.m)] == [inside.get(r, width)
+                                                            for r in range(sr.m)]
