@@ -217,6 +217,7 @@ def _read_pvalues(path):
 
 
 def cmd_fdr(args, cfg):
+    _check_whole("M", args.mc_size, 1)
     rows = _read_pvalues(args.input)
     p = nudge_boundary_p([v for _, v in rows], args.mc_size)
     z = p_to_z(p)
@@ -380,6 +381,8 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         _check_settings(cfg, args.command, args.settings)
+        if args.seed is not None:
+            _check_whole("seed", args.seed, 0)
         return args.func(args, cfg)
     except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

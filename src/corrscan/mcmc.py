@@ -8,7 +8,8 @@ one elliptical slice step under its Gaussian prior, draws beta exactly from its
 full conditional, moves rho by Metropolis on its conditional with sigma
 integrated out (a collapsed step, Liu 1994), draws sigma exactly given rho,
 and adds two adaptive joint moves that shift and scale the field against beta
-and sigma.  Correlation-matrix factors are precomputed once per geometry.
+and sigma.  Each fit builds the correlation-matrix factors of its rho grid
+first, a bounded block of grid points at a time.
 The variates every iteration needs (prior normals, move normals, accept
 uniforms, rho steps, gammas) are drawn for a block of ``_DRAW_BLOCK``
 iterations at a time; only the slice's shrink angles, whose number varies,
@@ -25,6 +26,7 @@ from scipy.linalg import blas
 
 from .matern import MaternParams, cholesky, matern_cov
 from .region import InputError, _check_whole
+from .scan import _STREAM_ELEMENTS
 
 __all__ = [
     "PriorSpec",
@@ -83,9 +85,11 @@ class ZeroCountsError(InputError):
 class RhoGridFactors:
     """Per-grid-point correlation-matrix Cholesky factors, log-dets and R^{-1} 1.
 
-    R comes from one ``matern_cov`` call over the strict lower triangle of ``dm``
-    at every grid point, and R^{-1} 1 (``rinv_one``) from two triangular solves
-    against its factor.  No R^{-1} is formed: :meth:`quad_form` solves once."""
+    R comes from ``matern_cov`` over the strict lower triangle of ``dm``, one
+    block of grid points (at most ``scan._STREAM_ELEMENTS`` values, or one
+    point) per call, factored before the next block; R^{-1} 1 (``rinv_one``)
+    from two triangular solves against its factor.  No R^{-1} is formed:
+    :meth:`quad_form` solves once."""
 
     def __init__(self, dm, prior: PriorSpec):
         dm = np.asarray(dm, dtype=float)
@@ -96,10 +100,13 @@ class RhoGridFactors:
         self.rinv_one = np.empty((len(grid), m))
         self.chol = []
         below = np.tril_indices(m, -1)
-        corr = matern_cov(dm[below] / grid[:, None], MaternParams(sigma=1.0, rho=1.0))
+        d = dm[below]
+        step = max(1, _STREAM_ELEMENTS // max(1, d.size))
         r = np.eye(m)  # cholesky's dpotrf(lower=1) reads only the lower triangle
         for g in range(len(grid)):
-            r[below] = corr[g]
+            if g % step == 0:
+                corr = matern_cov(d / grid[g:g + step, None], MaternParams(sigma=1.0, rho=1.0))
+            r[below] = corr[g % step]
             fac = cholesky(r, jitter_scale=1.0)
             L = fac.L
             self.chol.append(fac)

@@ -443,6 +443,8 @@ def test_unread_settings_key_is_an_input_error(region_files, no_work, capsys, se
     pytest.param(["spline_df=abc"], ["fdr", 40], "spline_df must be", id="spline_df=abc"),
     pytest.param(["spline_df=2.5"], ["fdr", 40], "spline_df must be", id="spline_df=2.5"),
     pytest.param([], ["fdr", 29], "at least 30", id="fdr-29-rows"),
+    *(pytest.param([], ["fdr", 40, "--mc-size", v], "M must be a whole number >= 1",
+                   id=f"fdr-mc-size={v}") for v in ("0", "-1", "-2")),
     pytest.param(["n_grid=[100,abc]"], ["check-theory"], "n_grid must be", id="n_grid"),
     pytest.param(["k=abc"], ["check-theory"], "k must be", id="k=abc"),
     pytest.param(["populations=[2.5,2.5]"], ["check-theory"],
@@ -454,7 +456,7 @@ def test_bad_settings_value_is_an_input_error(region_files, tmp_path, no_chain, 
     if argv[0] == "fdr":
         inp = tmp_path / "p.csv"
         inp.write_text("".join(f"t{i} {(i + 1) / 100}\n" for i in range(argv[1])))
-        argv = ["fdr", "--input", str(inp)]
+        argv = ["fdr", "--input", str(inp), *argv[2:]]
     elif argv[0] in ("fit", "adjusted-scan", "scan"):
         argv = [*argv, "--geo", geo, "--pop", pop, "--cas", cas]
     flags = [arg for item in settings for arg in ("--set", item)]
@@ -506,6 +508,9 @@ def test_bad_model_arguments_are_input_errors(region_files, argv, capsys):
     ([], ["type1-study", "--mc-size", "5"]),
     (["--set", "mode=bogus"], ["adjusted-study"]),
     (["--set", "mcmc.n_iter=100", "--set", "mcmc.burn_in=5000"], ["fit"]),
+    (["--seed", "-1"], ["scan"]),
+    (["--seed", "-1"], ["fit"]),
+    (["--seed", "-1"], ["type1-study"]),
 ])
 def test_bad_study_and_chain_settings_are_input_errors(region_files, flags, argv, capsys):
     geo, pop, cas = region_files
@@ -580,6 +585,10 @@ def test_overflowing_population_total_is_an_input_error(region_files, tmp_path, 
                   "--outbreak-period", "0", "--out", "g.txt"],
                  "cases=9000000000000000000 is too large for an outbreak",
                  id="outbreak-cases=9e18"),
+    pytest.param(["--seed", "-1", "synth-geo", "--m", "4", "--out", "g.txt"],
+                 "seed must be a whole number >= 0", id="synth-geo-seed=-1"),
+    pytest.param(["--seed", "-1", "check-theory", "--out", "t.json"],
+                 "seed must be a whole number >= 0", id="check-theory-seed=-1"),
 ])
 def test_bad_study_and_geometry_inputs_are_input_errors(argv, message, tmp_path, monkeypatch,
                                                         capsys):

@@ -1,14 +1,17 @@
 """Mixed-model MCMC: posterior evaluation, sampler behavior, diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import blas
 from scipy.special import kv
 from scipy.stats import chisquare
 
 from corrscan import (MaternParams, PriorSpec, cholesky, distance_matrix, fit_model2, matern_cov,
                       synth_geometry)
+from corrscan import mcmc
 from corrscan.mcmc import (
     ChainDivergenceError,
     McmcConfig,
@@ -213,6 +216,34 @@ def test_rho_grid_factors_match_a_full_matrix_build(m):
                           (fac.rinv_one[g], np.linalg.inv(r).sum(axis=1))):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert fac.logdet[g] == pytest.approx(np.linalg.slogdet(r)[1], rel=1e-10, abs=1e-12)
+
+
+def test_blocked_grid_build_keeps_every_bit_of_a_one_range_build(monkeypatch):
+    # 70 ranges x 2016 pairs at m = 64 is 141,120 values: three blocks of the
+    # stream budget.  Oracle: each range's whole matrix, factored on its own.
+    _, _, dm = _toy_data(seed=64, m=64)
+    calls = []
+    monkeypatch.setattr(mcmc, "matern_cov", lambda d, p: calls.append(d.shape) or matern_cov(d, p))
+    fac = RhoGridFactors(dm, PriorSpec(70))
+    assert calls == [(32, 2016), (32, 2016), (6, 2016)]
+    for g, rho in enumerate(fac.grid):
+        L = cholesky(matern_cov(dm, MaternParams(1.0, float(rho))), jitter_scale=1.0).L
+        assert np.array_equal(fac.chol[g].L, L)
+        assert fac.logdet[g] == 2.0 * np.log(np.diag(L)).sum()
+        assert np.array_equal(fac.rinv_one[g],
+                              blas.dtrsv(L, blas.dtrsv(L, np.ones(64), lower=1), lower=1, trans=1))
+
+
+def test_grid_build_peak_memory_is_little_more_than_its_factors():
+    m = 128
+    _, _, dm = _toy_data(seed=128, m=m)
+    tracemalloc.start()
+    try:
+        RhoGridFactors(dm, PriorSpec(70))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70 * m * m * 8 + 3e6
 
 
 class _RecordingRng(np.random.Generator):
