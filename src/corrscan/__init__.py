@@ -1,4 +1,7 @@
-"""Spatial scan statistics with a correlation-adjusted Monte Carlo null."""
+"""Spatial scan statistics with a correlation-adjusted Monte Carlo null.
+
+No module imports SciPy at load time: each function that calls it imports the
+name it needs, so the classical scan runs on numpy alone."""
 
 from .region import (
     CandidateCluster,

@@ -96,11 +96,11 @@ def _emit(obj, out):
 
 
 def cmd_scan(args, cfg):
+    _check_whole("M", args.mc_size, 1)
     sr = load_study_region(args.geo, args.pop, args.cas)
     dm = distance_matrix(sr)
     windows = enumerate_windows(sr, dm, *_given(cfg, "max_window_fraction").values())
     result = scan(sr, windows, args.period)
-    _check_whole("M", args.mc_size, 1)
     n = sr.period_populations(args.period)
     counts = null_counts(np.random.default_rng(args.seed), sr.total_cases(args.period), n,
                          args.mc_size)

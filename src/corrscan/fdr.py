@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .region import InputError, _check_whole
 
@@ -45,6 +44,7 @@ def nudge_boundary_p(p, mc_size):
 
 def p_to_z(p):
     """Inverse standard-normal CDF; small p maps to very negative z."""
+    from scipy.special import ndtri
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0) | (p >= 1)):
         raise ValueError("p-values must lie strictly inside (0, 1); nudge grid-boundary values first")

@@ -277,8 +277,12 @@ def write_run(out_dir, name, manifest, tables=None):
     for fname, text in items:
         path = os.path.join(out_dir, fname)
         fd, tmp = tempfile.mkstemp(dir=out_dir)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         written.append(path)
     return written

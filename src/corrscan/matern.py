@@ -5,9 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf
-from scipy.special import k1 as _k1
 
 from .region import _check_real
 
@@ -35,7 +32,7 @@ class MaternParams:
         _check_real("rho", self.rho, lambda v: v > 0, "a positive number")
 
 
-class NotPositiveDefiniteError(LinAlgError):
+class NotPositiveDefiniteError(np.linalg.LinAlgError):
     def __init__(self, minor_index, jitter_tried):
         self.minor_index = minor_index
         self.jitter_tried = jitter_tried
@@ -49,12 +46,13 @@ def matern_cov(d, p: MaternParams):
     """Matérn covariance with smoothness 1 at distance(s) d >= 0, elementwise
     over an array: sigma^2 (d/rho) K_1(d/rho), with value sigma^2 at d = 0.
     """
+    from scipy.special import k1
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("distances must be nonnegative")
     u = d / p.rho
     with np.errstate(invalid="ignore"):
-        c = p.sigma**2 * u * _k1(u)
+        c = p.sigma**2 * u * k1(u)
     c = np.where(d == 0, p.sigma**2, c)
     return float(c) if c.ndim == 0 else c
 
@@ -73,13 +71,15 @@ def cholesky(sigma_mat, jitter_scale=None) -> CovFactor:
     ``jitter_scale`` defaults to the mean diagonal (sigma^2 for a Matérn
     matrix); each ladder rung is jitter_scale * {0, 1e-10, 1e-8, 1e-6}.
     """
+    from scipy.linalg.lapack import dpotrf
     sigma_mat = np.asarray_chkfinite(sigma_mat, dtype=float)
     if jitter_scale is None:
         jitter_scale = float(np.mean(np.diag(sigma_mat))) or 1.0
     minor = None
     for rung in JITTER_LADDER:
         jitter = rung * jitter_scale
-        L, info = dpotrf(sigma_mat + jitter * np.eye(sigma_mat.shape[0]), lower=1, clean=1)
+        a = sigma_mat + jitter * np.eye(sigma_mat.shape[0]) if jitter else sigma_mat
+        L, info = dpotrf(a, lower=1, clean=1)  # copies a, leaving sigma_mat intact
         if info < 0:
             raise ValueError(f"dpotrf: illegal value in argument {-info}")
         if info > 0:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from .matern import MaternParams, cholesky, matern_cov
 from .region import InputError, _check_whole
@@ -92,6 +91,8 @@ class RhoGridFactors:
     :meth:`quad_form` solves once."""
 
     def __init__(self, dm, prior: PriorSpec):
+        from scipy.linalg.blas import dtrsv
+        self._dtrsv = dtrsv  # bound once: quad_form runs a few times per chain iteration
         dm = np.asarray(dm, dtype=float)
         m = dm.shape[0]
         grid = prior.rho_grid
@@ -111,11 +112,11 @@ class RhoGridFactors:
             L = fac.L
             self.chol.append(fac)
             self.logdet[g] = 2.0 * np.log(np.diag(L)).sum()
-            self.rinv_one[g] = blas.dtrsv(L, blas.dtrsv(L, np.ones(m), lower=1), lower=1, trans=1)
+            self.rinv_one[g] = dtrsv(L, dtrsv(L, np.ones(m), lower=1), lower=1, trans=1)
 
     def quad_form(self, g, z):
         """z' R^{-1} z at grid index ``g``, by one triangular solve."""
-        w = blas.dtrsv(self.chol[g].L, z, lower=1)
+        w = self._dtrsv(self.chol[g].L, z, lower=1)
         return float(w.dot(w))
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .matern import cholesky, simulate_grf
 from .region import InputError, _check_real, _check_whole, _real_tuple
@@ -32,6 +31,7 @@ _QUAD_NODES = 201  # Gauss-Hermite nodes of the single-component quadrature
 
 def poisson_tail(k, lam):
     """Pr(Poisson(lam) >= k) via the regularized lower incomplete gamma."""
+    from scipy.special import gammainc
     _check_real("lam", lam, lambda v: v > 0, "a positive number")
     _check_whole("k", k, 0)
     if k == 0:
@@ -40,6 +40,7 @@ def poisson_tail(k, lam):
 
 
 def poisson_pmf(k, lam):
+    from scipy.special import gammaln
     k = np.asarray(k)
     out = np.exp(k * math.log(lam) - lam - gammaln(np.asarray(k, dtype=float) + 1))
     return float(out) if out.ndim == 0 else out
@@ -88,6 +89,7 @@ def _total_rates(beta, populations, z):
 def _mc_tail(k, lam):
     """Monte Carlo mean of Pr(Poisson(lam) >= k) over the sampled rates, and its
     standard error."""
+    from scipy.special import gammainc
     vals = gammainc(max(int(k), 1), lam) if k >= 1 else np.ones(len(lam))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 

@@ -526,6 +526,61 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def _run_python(code, *argv):
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def test_cli_import_loads_no_scipy_module():
+    code = ("import sys, corrscan.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = _run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+SCIPY_BLOCKED = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from corrscan.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_scan_and_synth_geo_run_with_scipy_blocked(region_files, tmp_path):
+    geo, pop, cas = region_files
+    for argv in (["--seed", "2", "scan", "--geo", geo, "--pop", pop, "--cas", cas,
+                  "--mc-size", "99", "--out"],
+                 ["--seed", "2", "synth-geo", "--m", "9", "--periods", "3", "--cases", "40",
+                  "--out"]):
+        blocked, free = tmp_path / argv[2] / "blocked", tmp_path / argv[2] / "free"
+        blocked.mkdir(parents=True)
+        free.mkdir()
+        out = _run_python(SCIPY_BLOCKED, *argv, str(blocked / "out.txt"))
+        assert out.returncode == EXIT_OK, out.stderr
+        assert main([*argv, str(free / "out.txt")]) == EXIT_OK
+        names = sorted(f.name for f in free.iterdir())
+        assert names == sorted(f.name for f in blocked.iterdir())
+        assert all((blocked / n).read_bytes() == (free / n).read_bytes() for n in names)
+
+
+def test_scan_checks_mc_size_before_reading_the_region(region_files, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("the region was read before --mc-size was checked")
+
+    monkeypatch.setattr("corrscan.cli.load_study_region", unreachable)
+    geo, pop, cas = region_files
+    assert main(["scan", "--geo", geo, "--pop", pop, "--cas", cas, "--mc-size", "0"]) \
+        == EXIT_INPUT
+    assert "M must be a whole number >= 1" in capsys.readouterr().err
+
+
 def test_adjusted_study_refuses_the_classical_mode(region_files, capsys):
     geo, pop, cas = region_files
     code = main(["--set", "mode=classical", "adjusted-study", "--geo", geo, "--pop", pop,

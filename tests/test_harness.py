@@ -327,3 +327,14 @@ def test_write_run_creates_and_overwrites(tmp_path):
     write_run(out, "demo", {"a": 2})
     with open(os.path.join(out, "demo.json")) as fh:
         assert json.load(fh) == {"a": 2}
+
+
+def test_write_run_removes_its_temporary_file_on_failure(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk refused the rename")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "runs"
+    with pytest.raises(OSError, match="disk refused"):
+        write_run(str(out), "demo", {"a": 1})
+    assert list(out.iterdir()) == []
