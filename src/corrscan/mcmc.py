@@ -8,8 +8,10 @@ one elliptical slice step under its Gaussian prior, draws beta exactly from its
 full conditional, moves rho by Metropolis on its conditional with sigma
 integrated out (a collapsed step, Liu 1994), draws sigma exactly given rho,
 and adds two adaptive joint moves that shift and scale the field against beta
-and sigma.  Each fit builds the correlation-matrix factors of its rho grid
-first, a bounded block of grid points at a time.
+and sigma.  y'z and sum_i n_i e^{z_i} are carried with the field through every
+move, and each slice proposal at angle t is the one product
+(cos t, sigma sin t) . [z; L_rho eps].  Each fit builds the correlation-matrix
+factors of its rho grid first, a bounded block of grid points at a time.
 The variates every iteration needs (prior normals, move normals, accept
 uniforms, rho steps, gammas) are drawn for a block of ``_DRAW_BLOCK``
 iterations at a time; only the slice's shrink angles, whose number varies,
@@ -65,8 +67,9 @@ class McmcConfig:
         _check_whole("n_iter", self.n_iter, 1)
         _check_whole("burn_in", self.burn_in, 0)
         _check_whole("thin", self.thin, 1)
-        if self.burn_in >= self.n_iter:
-            raise InputError(f"burn_in ({self.burn_in}) must be < n_iter ({self.n_iter})")
+        if self.n_iter - self.burn_in < self.thin:  # burn_in >= n_iter too
+            raise InputError(f"n_iter ({self.n_iter}) - burn_in ({self.burn_in}) must be >= "
+                             f"thin ({self.thin}), or the chain keeps no draw")
 
 
 class ChainDivergenceError(RuntimeError):
@@ -188,7 +191,7 @@ def effective_sample_size(x):
     return float(n / max(1.0, 1.0 + 2.0 * s))
 
 
-_MAX_SHRINKS = 100
+_MAX_SHRINKS = 100  # then the slice keeps its state, so rounding cannot make it spin
 _DRAW_BLOCK = 256  # iterations whose fixed variates come from one set of draws
 _ADAPT_INTERVAL = 50  # burn-in iterations between proposal-scale updates
 _TARGET_ACCEPT = 0.44  # acceptance rate the ridge and scale moves adapt towards
@@ -196,30 +199,6 @@ _DIVERGENCE_FACTOR = 10.0  # sigma this far above its running median, for
 _DIVERGENCE_RUN = 1_000  # this many consecutive iterations, is a divergence
 _RHO_PROPOSALS = 2  # rho proposals per iteration, each moving the grid
 _RHO_STEP = 20  # index by U{1..20} up or down; off-grid proposals are rejected
-
-
-def elliptical_slice(z, prior_draw, loglik, current, u_level, u_angle, rng):
-    """One elliptical slice update (Murray, Adams & MacKay 2010) of ``z`` under
-    a zero-mean Gaussian prior, given a fresh ``prior_draw`` from it,
-    ``current = loglik(z)`` and two uniforms that set the slice level and the
-    first angle; a NaN or -inf log-likelihood never clears the slice.  Each
-    shrink draws its angle by ``rng.random()``.  Returns
-    ``(z, loglik, shrinks)``; after ``_MAX_SHRINKS`` shrinks the state is
-    kept, so rounding cannot make the loop spin forever."""
-    log_slice = current + math.log(u_level)
-    theta = 2.0 * math.pi * u_angle
-    lo, hi = theta - 2.0 * math.pi, theta
-    for step in range(_MAX_SHRINKS):
-        zp = z * math.cos(theta) + prior_draw * math.sin(theta)
-        ll = loglik(zp)
-        if ll > log_slice:
-            return zp, ll, step
-        if theta < 0.0:
-            lo = theta
-        else:
-            hi = theta
-        theta = lo + (hi - lo) * rng.random()  # the bits of rng.uniform(lo, hi)
-    return z, current, _MAX_SHRINKS
 
 
 def _draw_block(rng, size, m, sum_y):
@@ -264,53 +243,71 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
     if sum_y <= 0:
         raise ZeroCountsError("all counts are zero: intercept not identifiable under a flat prior")
     config = config or McmcConfig()
+    n_iter, burn_in, thin = config.n_iter, config.burn_in, config.thin
     rng = np.random.default_rng(seed)
     fac = RhoGridFactors(dm, prior)
     grid = fac.grid
+    n_grid = len(grid)
     chol = [f.L for f in fac.chol]
+    rinv_one = list(fac.rinv_one)
     rinv_total = fac.rinv_one.sum(axis=1).tolist()  # 1' R^{-1} 1 per grid point
     logdet = fac.logdet.tolist()
+    exp, log, cos, sin, isfinite = math.exp, math.log, math.cos, math.sin, math.isfinite
+    np_exp, y_dot, n_dot, shrink_angle = np.exp, y.dot, n.dot, rng.random
 
     # state
     beta = math.log(sum_y / n.sum())
     z = np.zeros(m)
-    s_pop = float(n.dot(np.exp(z)))  # sum n_i e^{z_i}, carried with z
+    s_pop = float(n_dot(np_exp(z)))  # sum n_i e^{z_i}, carried with z
+    yz = 0.0  # y'z, carried with z
     sigma = 0.1
-    rho_idx = (len(grid) - 1) // 2
+    rho_idx = (n_grid - 1) // 2
+    pair = np.empty((2, m))  # [z; L_rho eps]: a slice proposal is coef . pair
+    coef = np.empty(2)
 
     ridge_scale = 0.1
     scale_scale = 0.3
     z_first = ridge_acc = scale_acc = 0
 
     keep_beta, keep_sigma, keep_rho = [], [], []
-    sigma_trace = np.empty(config.n_iter)
+    sigma_trace = np.empty(n_iter)
     sigma_median = sigma
     div_streak = 0
 
-    eb = s_prop = 0.0
-
-    def loglik(v):  # Poisson log-likelihood at e^beta = eb; leaves sum n e^v in s_prop
-        nonlocal s_prop
-        s_prop = float(n.dot(np.exp(v)))
-        return float(y.dot(v)) - eb * s_prop
-
-    for it in range(config.n_iter):
+    for it in range(n_iter):
         k = it % _DRAW_BLOCK
         if k == 0:
             prior_normals, *rest = _draw_block(rng, _DRAW_BLOCK, m, sum_y)
             normals, uniforms, steps, gamma_beta, gamma_sigma = (b.tolist() for b in rest)
         d_ridge, d_scale = normals[k]
         u_level, u_angle, u_ridge, *u_rho, u_scale = uniforms[k]
-        adapting = it < config.burn_in
+        adapting = it < burn_in
 
-        # latent field: elliptical slice update under N(0, sigma^2 R_rho)
-        eb = math.exp(beta)
-        prior_draw = sigma * chol[rho_idx].dot(prior_normals[k])
-        z, _, shrinks = elliptical_slice(z, prior_draw, loglik, float(y.dot(z)) - eb * s_pop,
-                                         u_level, u_angle, rng)
-        if shrinks < _MAX_SHRINKS:
-            s_pop = s_prop
-        z_first += shrinks == 0
+        # latent field: one elliptical slice step (Murray, Adams & MacKay 2010)
+        # under N(0, sigma^2 R_rho); a proposal's y'z follows from the rows'
+        # products with y.  A NaN or -inf log-likelihood never clears the slice.
+        eb = exp(beta)
+        pair[0] = z
+        pair[1] = chol[rho_idx].dot(prior_normals[k])
+        yp = float(y_dot(pair[1]))
+        log_slice = yz - eb * s_pop + log(u_level)
+        theta = 2.0 * math.pi * u_angle
+        lo, hi = theta - 2.0 * math.pi, theta
+        for shrinks in range(_MAX_SHRINKS):
+            coef[0] = c = cos(theta)
+            coef[1] = s = sigma * sin(theta)
+            zp = coef.dot(pair)
+            s_prop = float(n_dot(np_exp(zp)))
+            yz_prop = c * yz + s * yp
+            if yz_prop - eb * s_prop > log_slice:
+                z, yz, s_pop = zp, yz_prop, s_prop
+                z_first += shrinks == 0
+                break
+            if theta < 0.0:
+                lo = theta
+            else:
+                hi = theta
+            theta = lo + (hi - lo) * shrink_angle()  # the bits of rng.uniform(lo, hi)
 
         beta = _gibbs_intercept(gamma_beta[k], s_pop)
 
@@ -318,11 +315,12 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
         # amount; the Poisson likelihood is invariant, only the Gaussian
         # prior changes, which decorrelates beta from the field level
         delta = ridge_scale * d_ridge
-        dquad = delta * delta * rinv_total[rho_idx] - 2.0 * delta * float(fac.rinv_one[rho_idx].dot(z))
-        if math.log(u_ridge) < -0.5 * dquad / (sigma * sigma):
+        dquad = delta * delta * rinv_total[rho_idx] - 2.0 * delta * float(rinv_one[rho_idx].dot(z))
+        if log(u_ridge) < -0.5 * dquad / (sigma * sigma):
             beta += delta
             z = z - delta
-            s_pop = float(n.dot(np.exp(z)))
+            yz -= delta * sum_y
+            s_pop *= exp(-delta)
             ridge_acc += 1
 
         # rho | z with sigma integrated out, p(rho | z) ~ |R|^{-1/2}
@@ -332,11 +330,11 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
         if quad > 0.0:  # 0 only before z has first moved
             for step, u in zip(steps[k], u_rho):
                 prop = rho_idx + step + (step >= 0)
-                if 0 <= prop < len(grid):
+                if 0 <= prop < n_grid:
                     q = fac.quad_form(prop, z)
                     log_ratio = (0.5 * (logdet[rho_idx] - logdet[prop])
-                                 - 0.5 * (m - 1) * math.log(q / quad))
-                    if math.log(u) < log_ratio:
+                                 - 0.5 * (m - 1) * log(q / quad))
+                    if log(u) < log_ratio:
                         rho_idx, quad = prop, q
             sigma = _gibbs_sigma(gamma_sigma[k], quad)
 
@@ -345,12 +343,13 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
         # along the prior funnel and is gated by the Poisson likelihood
         # (log ratio = delta-likelihood + delta from the volume terms)
         delta = scale_scale * d_scale
-        g = math.exp(delta)
+        g = exp(delta)
         zs = z * g
-        s_new = float(n.dot(np.exp(zs)))
-        dpois = float(y.dot(zs - z)) - math.exp(beta) * (s_new - s_pop)
-        if math.isfinite(dpois) and math.log(u_scale) < dpois + delta:
+        s_new = float(n_dot(np_exp(zs)))
+        dpois = (g - 1.0) * yz - exp(beta) * (s_new - s_pop)
+        if isfinite(dpois) and log(u_scale) < dpois + delta:
             z = zs
+            yz *= g
             s_pop = s_new
             sigma *= g
             scale_acc += 1
@@ -371,25 +370,25 @@ def fit_model2(y, n, dm, prior: PriorSpec, config: McmcConfig | None = None,
 
         # proposal adaptation, frozen at end of burn-in
         if adapting and (it + 1) % _ADAPT_INTERVAL == 0:
-            ridge_scale *= math.exp(ridge_acc / _ADAPT_INTERVAL - _TARGET_ACCEPT)
+            ridge_scale *= exp(ridge_acc / _ADAPT_INTERVAL - _TARGET_ACCEPT)
             ridge_scale = min(max(ridge_scale, 1e-4), 10.0)
-            scale_scale *= math.exp(scale_acc / _ADAPT_INTERVAL - _TARGET_ACCEPT)
+            scale_scale *= exp(scale_acc / _ADAPT_INTERVAL - _TARGET_ACCEPT)
             scale_scale = min(max(scale_scale, 1e-4), 10.0)
             ridge_acc = scale_acc = 0
 
-        if not adapting and (it + 1 - config.burn_in) % config.thin == 0:
+        if not adapting and (it + 1 - burn_in) % thin == 0:
             keep_beta.append(beta)
             keep_sigma.append(sigma)
             keep_rho.append(float(grid[rho_idx]))
 
-        if it == config.burn_in - 1:
+        if it == burn_in - 1:
             # reset counters so reported rates cover the post-burn-in phase
             z_first = ridge_acc = scale_acc = 0
 
     beta_draws = np.array(keep_beta)
     sigma_draws = np.array(keep_sigma)
     rho_draws = np.array(keep_rho)
-    denom = max(1, config.n_iter - config.burn_in)
+    denom = max(1, n_iter - burn_in)
     acceptance = {
         "z": z_first / denom,  # slice updates accepted on their first proposal
         "beta": 1.0,  # exact draws

@@ -11,6 +11,10 @@ import pytest
 
 from corrscan import (MaternParams, StudyRegion, cholesky, distance_matrix, matern_cov,
                       simulate_model2_counts, synth_geometry)
+from corrscan.mcmc import (_ADAPT_INTERVAL, _DIVERGENCE_FACTOR, _DIVERGENCE_RUN, _DRAW_BLOCK,
+                           _MAX_SHRINKS, _TARGET_ACCEPT, ChainDivergenceError, McmcConfig,
+                           ModelIIFit, RhoGridFactors, TooFewRegionsError, ZeroCountsError,
+                           _draw_block, _gibbs_intercept, _gibbs_sigma, effective_sample_size)
 
 
 @pytest.fixture
@@ -255,3 +259,203 @@ def naive_log_posterior(beta, sigma, rho, z, y, n, dm):
     quad = float(np.asarray(z) @ np.linalg.solve(r, np.asarray(z)))
     gauss = -0.5 * quad / sigma**2 - 0.5 * (logdet + m * math.log(sigma**2))
     return pois + gauss
+
+
+# ------------------------------------------------------------ reference chain
+#
+# The mixed-model chain as it stood before y'z was carried through every move,
+# kept as the oracle for ``mcmc.fit_model2``.  It shares the chain's constants,
+# block draws and exact conditional draws.
+
+def elliptical_slice(z, prior_draw, loglik, current, u_level, u_angle, rng):
+    """One elliptical slice update (Murray, Adams & MacKay 2010) of ``z`` under
+    a zero-mean Gaussian prior, given a fresh ``prior_draw`` from it,
+    ``current = loglik(z)`` and two uniforms that set the slice level and the
+    first angle; a NaN or -inf log-likelihood never clears the slice.  Each
+    shrink draws its angle by ``rng.random()``.  Returns
+    ``(z, loglik, shrinks)``; after ``_MAX_SHRINKS`` shrinks the state is
+    kept, so rounding cannot make the loop spin forever."""
+    log_slice = current + math.log(u_level)
+    theta = 2.0 * math.pi * u_angle
+    lo, hi = theta - 2.0 * math.pi, theta
+    for step in range(_MAX_SHRINKS):
+        zp = z * math.cos(theta) + prior_draw * math.sin(theta)
+        ll = loglik(zp)
+        if ll > log_slice:
+            return zp, ll, step
+        if theta < 0.0:
+            lo = theta
+        else:
+            hi = theta
+        theta = lo + (hi - lo) * rng.random()  # the bits of rng.uniform(lo, hi)
+    return z, current, _MAX_SHRINKS
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing rate is a rejection
+def reference_fit_model2(y, n, dm, prior, config=None, seed=None):
+    """The chain of ``mcmc.fit_model2`` before it carried y'z: every iteration
+    recomputes y'z, draws a whole scaled prior draw and calls
+    :func:`elliptical_slice` with a log-likelihood callback.  The current
+    chain must make the same accept decisions and rho draws on the same
+    random stream, and agree in beta and sigma up to rounding."""
+    y = np.asarray(y, dtype=float)
+    n = np.asarray(n, dtype=float)
+    m = len(y)
+    if m < 5:
+        raise TooFewRegionsError("need at least 5 regions in the fit set")
+    sum_y = float(y.sum())
+    if sum_y <= 0:
+        raise ZeroCountsError("all counts are zero: intercept not identifiable under a flat prior")
+    config = config or McmcConfig()
+    rng = np.random.default_rng(seed)
+    fac = RhoGridFactors(dm, prior)
+    grid = fac.grid
+    chol = [f.L for f in fac.chol]
+    rinv_total = fac.rinv_one.sum(axis=1).tolist()  # 1' R^{-1} 1 per grid point
+    logdet = fac.logdet.tolist()
+
+    # state
+    beta = math.log(sum_y / n.sum())
+    z = np.zeros(m)
+    s_pop = float(n.dot(np.exp(z)))  # sum n_i e^{z_i}, carried with z
+    sigma = 0.1
+    rho_idx = (len(grid) - 1) // 2
+
+    ridge_scale = 0.1
+    scale_scale = 0.3
+    z_first = ridge_acc = scale_acc = 0
+
+    keep_beta, keep_sigma, keep_rho = [], [], []
+    sigma_trace = np.empty(config.n_iter)
+    sigma_median = sigma
+    div_streak = 0
+
+    eb = s_prop = 0.0
+
+    def loglik(v):  # Poisson log-likelihood at e^beta = eb; leaves sum n e^v in s_prop
+        nonlocal s_prop
+        s_prop = float(n.dot(np.exp(v)))
+        return float(y.dot(v)) - eb * s_prop
+
+    for it in range(config.n_iter):
+        k = it % _DRAW_BLOCK
+        if k == 0:
+            prior_normals, *rest = _draw_block(rng, _DRAW_BLOCK, m, sum_y)
+            normals, uniforms, steps, gamma_beta, gamma_sigma = (b.tolist() for b in rest)
+        d_ridge, d_scale = normals[k]
+        u_level, u_angle, u_ridge, *u_rho, u_scale = uniforms[k]
+        adapting = it < config.burn_in
+
+        # latent field: elliptical slice update under N(0, sigma^2 R_rho)
+        eb = math.exp(beta)
+        prior_draw = sigma * chol[rho_idx].dot(prior_normals[k])
+        z, _, shrinks = elliptical_slice(z, prior_draw, loglik, float(y.dot(z)) - eb * s_pop,
+                                         u_level, u_angle, rng)
+        if shrinks < _MAX_SHRINKS:
+            s_pop = s_prop
+        z_first += shrinks == 0
+
+        beta = _gibbs_intercept(gamma_beta[k], s_pop)
+
+        # ridge move: shift beta up and the whole field down by the same
+        # amount; the Poisson likelihood is invariant, only the Gaussian
+        # prior changes, which decorrelates beta from the field level
+        delta = ridge_scale * d_ridge
+        dquad = delta * delta * rinv_total[rho_idx] - 2.0 * delta * float(fac.rinv_one[rho_idx].dot(z))
+        if math.log(u_ridge) < -0.5 * dquad / (sigma * sigma):
+            beta += delta
+            z = z - delta
+            s_pop = float(n.dot(np.exp(z)))
+            ridge_acc += 1
+
+        # rho | z with sigma integrated out, p(rho | z) ~ |R|^{-1/2}
+        # (z'R^{-1}z)^{-(m-1)/2}: symmetric local moves on the grid index,
+        # then sigma | rho, z exactly
+        quad = fac.quad_form(rho_idx, z)
+        if quad > 0.0:  # 0 only before z has first moved
+            for step, u in zip(steps[k], u_rho):
+                prop = rho_idx + step + (step >= 0)
+                if 0 <= prop < len(grid):
+                    q = fac.quad_form(prop, z)
+                    log_ratio = (0.5 * (logdet[rho_idx] - logdet[prop])
+                                 - 0.5 * (m - 1) * math.log(q / quad))
+                    if math.log(u) < log_ratio:
+                        rho_idx, quad = prop, q
+            sigma = _gibbs_sigma(gamma_sigma[k], quad)
+
+        # scaling move: inflate or deflate sigma and the whole field together;
+        # the Gaussian prior term quad/sigma^2 is invariant, so the move walks
+        # along the prior funnel and is gated by the Poisson likelihood
+        # (log ratio = delta-likelihood + delta from the volume terms)
+        delta = scale_scale * d_scale
+        g = math.exp(delta)
+        zs = z * g
+        s_new = float(n.dot(np.exp(zs)))
+        dpois = float(y.dot(zs - z)) - math.exp(beta) * (s_new - s_pop)
+        if math.isfinite(dpois) and math.log(u_scale) < dpois + delta:
+            z = zs
+            s_pop = s_new
+            sigma *= g
+            scale_acc += 1
+
+        # divergence diagnostic on sigma
+        sigma_trace[it] = sigma
+        if (it + 1) % 500 == 0:
+            sigma_median = float(np.median(sigma_trace[: it + 1]))
+        if sigma > _DIVERGENCE_FACTOR * sigma_median:
+            div_streak += 1
+            if div_streak >= _DIVERGENCE_RUN:
+                raise ChainDivergenceError(
+                    f"sigma={sigma:.3g} above {_DIVERGENCE_FACTOR}x running "
+                    f"median {sigma_median:.3g} for {div_streak} consecutive iterations"
+                )
+        else:
+            div_streak = 0
+
+        # proposal adaptation, frozen at end of burn-in
+        if adapting and (it + 1) % _ADAPT_INTERVAL == 0:
+            ridge_scale *= math.exp(ridge_acc / _ADAPT_INTERVAL - _TARGET_ACCEPT)
+            ridge_scale = min(max(ridge_scale, 1e-4), 10.0)
+            scale_scale *= math.exp(scale_acc / _ADAPT_INTERVAL - _TARGET_ACCEPT)
+            scale_scale = min(max(scale_scale, 1e-4), 10.0)
+            ridge_acc = scale_acc = 0
+
+        if not adapting and (it + 1 - config.burn_in) % config.thin == 0:
+            keep_beta.append(beta)
+            keep_sigma.append(sigma)
+            keep_rho.append(float(grid[rho_idx]))
+
+        if it == config.burn_in - 1:
+            # reset counters so reported rates cover the post-burn-in phase
+            z_first = ridge_acc = scale_acc = 0
+
+    beta_draws = np.array(keep_beta)
+    sigma_draws = np.array(keep_sigma)
+    rho_draws = np.array(keep_rho)
+    denom = max(1, config.n_iter - config.burn_in)
+    acceptance = {
+        "z": z_first / denom,  # slice updates accepted on their first proposal
+        "beta": 1.0,  # exact draws
+        "sigma": 1.0,
+        "ridge": ridge_acc / denom,
+        "scale": scale_acc / denom,
+    }
+    ess = {
+        "beta": effective_sample_size(beta_draws),
+        "sigma": effective_sample_size(sigma_draws),
+        "rho": effective_sample_size(rho_draws),
+    }
+    warnings = []
+    if ess["beta"] < 100:
+        warnings.append(f"low ESS for beta: {ess['beta']:.1f} < 100")
+    return ModelIIFit(
+        beta=beta_draws,
+        sigma=sigma_draws,
+        rho=rho_draws,
+        acceptance=acceptance,
+        ess=ess,
+        config=config,
+        prior=prior,
+        seed=seed,
+        warnings=tuple(warnings),
+    )

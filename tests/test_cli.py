@@ -519,6 +519,25 @@ def test_bad_study_and_chain_settings_are_input_errors(region_files, flags, argv
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, argv", [
+    ([], ["fit"]),
+    ([], ["adjusted-scan"]),
+    ([], ["surveil", "--train-period", "0"]),
+    (["--set", "mode=adjusted_fitted"], ["adjusted-study", "--replicates", "2"]),
+])
+def test_a_chain_that_keeps_no_draw_is_an_input_error(region_files, no_chain, capsys, flags,
+                                                      argv):
+    # 300 - 100 iterations after burn-in, thinned by 1000, keep no draw: this
+    # crashed in np.quantile (fit) or failed after the chain (exit 3)
+    geo, pop, cas = region_files
+    chain = ["--set", "mcmc.n_iter=300", "--set", "mcmc.burn_in=100", "--set", "mcmc.thin=1000"]
+    code = main([*chain, *flags, argv[0], "--geo", geo, "--pop", pop, "--cas", cas, *argv[1:]])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+    assert "n_iter (300) - burn_in (100) must be >= thin (1000)" in err
+
+
 def test_cli_import_leaves_out_scipy_stats():
     code = "import sys, corrscan.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

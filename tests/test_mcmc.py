@@ -21,7 +21,8 @@ from corrscan.mcmc import (
     posterior_means,
 )
 
-from conftest import naive_log_posterior
+import conftest
+from conftest import elliptical_slice, naive_log_posterior, reference_fit_model2
 
 
 def _toy_data(seed=0, m=8):
@@ -70,6 +71,14 @@ def test_mcmc_config_validation():
         McmcConfig(n_iter=100, burn_in=100)
     with pytest.raises(ValueError):
         McmcConfig(n_iter=100, burn_in=10, thin=0)
+    with pytest.raises(ValueError, match=r"n_iter \(300\) - burn_in \(100\) must be >= thin \(1000\)"):
+        McmcConfig(n_iter=300, burn_in=100, thin=1000)
+
+
+def test_a_chain_that_keeps_one_draw_is_accepted():
+    config = McmcConfig(n_iter=300, burn_in=100, thin=200)
+    y, n, dm = _toy_data(seed=9, m=6)
+    assert fit_model2(y, n, dm, PriorSpec(10), config=config, seed=0).n_draws == 1
 
 
 def test_rho_grid_factors_consistency():
@@ -331,9 +340,10 @@ def test_a_fit_solves_at_most_three_quad_forms_per_iteration(monkeypatch):
     assert config.n_iter <= len(calls) <= 3 * config.n_iter
 
 
-def test_elliptical_slice_leaves_prior_invariant_under_flat_likelihood():
-    from corrscan.mcmc import elliptical_slice
+# The fit runs its slice inside its loop; these two check the slice of the
+# reference chain, whose every decision the fit is shown to keep below.
 
+def test_elliptical_slice_leaves_prior_invariant_under_flat_likelihood():
     _, _, dm = _toy_data(seed=21, m=5)
     sigma = 0.7
     cov = sigma**2 * matern_cov(dm, MaternParams(1.0, 15.0))
@@ -354,7 +364,7 @@ def test_elliptical_slice_leaves_prior_invariant_under_flat_likelihood():
 
 
 def test_elliptical_slice_keeps_state_when_nothing_clears_the_slice():
-    from corrscan.mcmc import _MAX_SHRINKS, elliptical_slice
+    from corrscan.mcmc import _MAX_SHRINKS
 
     z = np.array([0.1, -0.2, 0.3])
     calls = []
@@ -414,27 +424,30 @@ class _CountingRng(np.random.Generator):
 
 
 def test_a_fit_draws_its_fixed_variates_in_blocks(monkeypatch):
-    from corrscan import mcmc
-
+    # the reference chain makes the fit's decisions with its own slice
+    # function, so that function counts the shrinks of both
     shrinks = []
-    slice_step = mcmc.elliptical_slice
+    slice_step = conftest.elliptical_slice
 
     def counted(*args):
         out = slice_step(*args)
         shrinks.append(out[2])
         return out
 
-    monkeypatch.setattr(mcmc, "elliptical_slice", counted)
+    monkeypatch.setattr(conftest, "elliptical_slice", counted)
     y, n, dm = _toy_data(seed=9, m=8)
-    rng = _CountingRng(5)
-    fit_model2(y, n, dm, PriorSpec(40), config=McmcConfig(n_iter=1000, burn_in=200, thin=1),
-               seed=rng)
+    config = McmcConfig(n_iter=1000, burn_in=200, thin=1)
+    rng, reference_rng = _CountingRng(5), _CountingRng(5)
+    fit = fit_model2(y, n, dm, PriorSpec(40), config=config, seed=rng)
+    reference = reference_fit_model2(y, n, dm, PriorSpec(40), config=config, seed=reference_rng)
+    assert np.array_equal(fit.rho, reference.rho) and fit.acceptance == reference.acceptance
     sized = [call for call in rng.calls if call[1] > 0]
     scalar = [call for call in rng.calls if call[1] == 0]
     # six sized calls per block of iterations; the only scalar draws are the
     # shrink angles of the slice steps
     assert len(sized) == 6 * -(-1000 // mcmc._DRAW_BLOCK)
     assert sum(shrinks) > 0 and scalar == [("random", 0)] * sum(shrinks)
+    assert rng.calls == reference_rng.calls
 
 
 def test_fits_of_different_lengths_agree_across_draw_blocks():
@@ -448,6 +461,28 @@ def test_fits_of_different_lengths_agree_across_draw_blocks():
     assert common == (700 - 100) // 3 and long.n_draws > common
     for name in ("beta", "sigma", "rho"):
         assert np.array_equal(getattr(short, name), getattr(long, name)[:common])
+
+
+@pytest.mark.parametrize("m, n_iter, burn_in, thin", [
+    (5, 700, 0, 1),
+    (8, 1000, 200, 3),
+    (32, 900, 300, 1),
+    (128, 700, 100, 3),
+    (32, 20_000, 5_000, 10),  # long enough for drift in the carried sums to show
+])
+def test_fit_keeps_every_decision_of_the_reference_chain(m, n_iter, burn_in, thin):
+    # the fit carries y'z and sum n e^z through every move and makes each
+    # slice proposal one product; the reference recomputes them.  Only
+    # rounding may part the two, and no decision is that close.
+    y, n, dm = _toy_data(seed=m, m=m)
+    config = McmcConfig(n_iter=n_iter, burn_in=burn_in, thin=thin)
+    fit, reference = (chain(y, n, dm, PriorSpec(70), config=config, seed=m + n_iter)
+                      for chain in (fit_model2, reference_fit_model2))
+    assert fit.n_draws == (n_iter - burn_in) // thin
+    assert np.array_equal(fit.rho, reference.rho)
+    assert fit.acceptance == reference.acceptance
+    for name in ("beta", "sigma"):
+        assert np.allclose(getattr(fit, name), getattr(reference, name), rtol=1e-12, atol=0)
 
 
 def test_fit_input_errors_are_typed():
